@@ -197,7 +197,8 @@ def cmd_sweep(cfg: ResolvedConfig, args) -> int:
         return 0
     values = np.linspace(cfg.sweep["start"], cfg.sweep["stop"], cfg.sweep["points"])
     results = sweep_coupling_energy(
-        values, budget=cfg.sweep["budget"], seed=cfg.seed, cutoffs=cfg.cutoffs,
+        values, bounds_pct=cfg.optimize["bounds_pct"], budget=cfg.sweep["budget"],
+        seed=cfg.seed, cutoffs=cfg.cutoffs,
         gate_time_bounds=tuple(cfg.sweep["gate_time_ns"]),
         time_points=cfg.optimize["time_points"])
     rows = [(r.e_mx, r.fidelity, r.best_gate_time, *r.best_params) for r in results]
@@ -211,7 +212,8 @@ def cmd_sweep(cfg: ResolvedConfig, args) -> int:
 def cmd_optimize(cfg: ResolvedConfig, args) -> int:
     opt = cfg.optimize
     result = maximize_fidelity(
-        opt["e_mx"], budget=opt["budget"], seed=cfg.seed, cutoffs=cfg.cutoffs,
+        opt["e_mx"], bounds_pct=opt["bounds_pct"], budget=opt["budget"],
+        seed=cfg.seed, cutoffs=cfg.cutoffs,
         gate_time_bounds=tuple(opt["gate_time_ns"]),
         time_points=opt["time_points"])
     print(f"e_mx = {result.e_mx} GHz: fidelity {result.fidelity:.6f} at "

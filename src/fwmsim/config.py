@@ -213,6 +213,8 @@ def resolve(doc: dict) -> ResolvedConfig:
         }
         if sweep["points"] < 1:
             raise ConfigError("sweep.points", "must be >= 1")
+        if variable == "b0" and sweep["points"] < 2:
+            raise ConfigError("sweep.points", "a b0 sweep needs at least 2 points")
 
     opt_doc = doc.get("optimize", {})
     _require_keys(opt_doc, _OPT_KEYS, "optimize")
@@ -227,6 +229,10 @@ def resolve(doc: dict) -> ResolvedConfig:
         "time_points": _integer(opt_doc, "time_points", "optimize",
                                 required=False, default=801),
     }
+    if not 0.0 < optimize["bounds_pct"] < 1.0:
+        raise ConfigError("optimize.bounds_pct", "must be in (0, 1)")
+    if optimize["time_points"] < 1:
+        raise ConfigError("optimize.time_points", "must be >= 1")
 
     outputs = doc.get("outputs", {})
     _require_keys(outputs, {"dir"}, "outputs")

@@ -52,6 +52,8 @@ class FidelityResult:
 
 
 def _check_times(times: np.ndarray):
+    if times.size == 0:
+        raise ValueError("times must not be empty")
     if times[0] < 0 or np.any(np.diff(times) <= 0) and times.size > 1:
         raise ValueError("times must be non-negative and strictly increasing")
 

@@ -13,6 +13,7 @@ the mode-shift balancing value of its scheme.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -21,7 +22,7 @@ import numpy as np
 from .circuit import CircuitParams, EigenSystem, eigensystem, transition_table
 from .errors import FrameError, SchemeError
 from .hamiltonian import Hamiltonian
-from .operators import (FockCutoffs, LEVELS, LEVEL_INDEX, embed_level_matrix,
+from .operators import (FockCutoffs, LEVELS, LEVEL_INDEX, destroy, embed_level_matrix,
                         mode_operator, transition_operator)
 
 
@@ -315,6 +316,21 @@ def build_scheme_frame(params: CircuitParams, scheme: Scheme,
     return frame, det
 
 
+@functools.lru_cache(maxsize=None)
+def _mode_pieces(cutoffs: FockCutoffs) -> tuple[np.ndarray, ...]:
+    """Read-only two-mode factors (n1, n2, q1, q2, q1 q2) on the
+    dim1*dim2 Fock space, with q = a + a^dag; the number operator is
+    a^dag a as a matrix product, like :func:`mode_operator`."""
+    a1, a2 = destroy(cutoffs.dim1), destroy(cutoffs.dim2)
+    i1, i2 = np.eye(cutoffs.dim1), np.eye(cutoffs.dim2)
+    x1, x2 = a1 + a1.conj().T, a2 + a2.conj().T
+    pieces = (np.kron(a1.conj().T @ a1, i2), np.kron(i1, a2.conj().T @ a2),
+              np.kron(x1, i2), np.kron(i1, x2), np.kron(x1, x2))
+    for m in pieces:
+        m.setflags(write=False)
+    return pieces
+
+
 def build_full_hamiltonian(params: CircuitParams,
                            drives: tuple[DriveSpec, ...] = (),
                            cutoffs: FockCutoffs = FockCutoffs(),
@@ -329,27 +345,27 @@ def build_full_hamiltonian(params: CircuitParams,
     """
     es = eigensystem(params)
     table = transition_table(es)
-    x1 = embed_level_matrix(cutoffs, table.sigma_x_matrix(1))
-    x2 = embed_level_matrix(cutoffs, table.sigma_x_matrix(2))
+    s1 = table.sigma_x_matrix(1)
+    s2 = table.sigma_x_matrix(2)
+    n1, n2, q1, q2, q1q2 = _mode_pieces(cutoffs)
+    i4 = np.eye(4)
+    # every term is (4x4 level matrix) x (mode piece); the sums keep the
+    # order of the full-dimension construction, so H is the same bit for bit
     h = embed_level_matrix(cutoffs, np.diag(es.energies))
-    n1 = mode_operator(cutoffs, 1, "number")
-    n2 = mode_operator(cutoffs, 2, "number")
-    h = h + params.omega_a1 * n1 + params.omega_a2 * n2
-    q1 = mode_operator(cutoffs, 1, "annihilate") + mode_operator(cutoffs, 1, "create")
-    q2 = mode_operator(cutoffs, 2, "annihilate") + mode_operator(cutoffs, 2, "create")
-    h = h + params.g1 * (x1 @ q1) + params.g2 * (x2 @ q2)
+    h = h + params.omega_a1 * np.kron(i4, n1) + params.omega_a2 * np.kron(i4, n2)
+    h = h + params.g1 * np.kron(s1, q1) + params.g2 * np.kron(s2, q2)
     if include_crosstalk:
         if params.g2_1:
-            h = h + params.g2_1 * (x1 @ q2)
+            h = h + params.g2_1 * np.kron(s1, q2)
         if params.g2_2:
-            h = h + params.g2_2 * (x2 @ q1)
+            h = h + params.g2_2 * np.kron(s2, q1)
         if params.g3:
-            h = h + params.g3 * (q1 @ q2)
+            h = h + params.g3 * np.kron(i4, q1q2)
     osc = []
     for d in drives:
         if d.frequency is None:
             raise SchemeError("full-Hamiltonian drives need explicit frequencies")
-        x = x1 if d.slot == 1 else x2
+        x = embed_level_matrix(cutoffs, s1 if d.slot == 1 else s2)
         osc.append((d.rabi * x, d.frequency))
     return Hamiltonian(h, tuple(osc))
 

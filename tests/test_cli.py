@@ -4,10 +4,14 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fwmsim
 from fwmsim.cli import main
 from fwmsim.config import resolve
 from fwmsim.presets import as_config, cross_kerr_point
@@ -240,3 +244,48 @@ def test_capacitance_form_config(tmp_path):
     assert main(["derive", "--config", str(p), "--out", str(tmp_path)]) == 0
     out = json.load(open(tmp_path / "derive.json"))
     assert out["resolved_config"]["circuit"]["e_mx"] > 0
+
+
+def test_single_point_b0_sweep_exits_2_without_traceback(ck_config, tmp_path):
+    _, cfg = ck_config
+    cfg = json.loads(json.dumps(cfg))
+    cfg["sweep"] = {"variable": "b0", "start": -0.7, "stop": -0.5, "points": 1}
+    p = tmp_path / "b0one.json"
+    p.write_text(json.dumps(cfg))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(fwmsim.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "fwmsim.cli", "sweep", "--config",
+                           str(p), "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "sweep.points" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value,field", [
+    ({"bounds_pct": 0.0}, "optimize.bounds_pct"),
+    ({"bounds_pct": 1.0}, "optimize.bounds_pct"),
+    ({"time_points": 0}, "optimize.time_points"),
+])
+def test_invalid_optimize_knobs_exit_2(ck_config, tmp_path, capsys, value, field):
+    _, cfg = ck_config
+    cfg = json.loads(json.dumps(cfg))
+    cfg["optimize"] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["optimize", "--config", str(p), "--out", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_optimize_bounds_pct_reaches_search(ck_config, tmp_path):
+    _, cfg = ck_config
+    cfg = json.loads(json.dumps(cfg))
+    cfg["optimize"] = {"budget": 12, "bounds_pct": 0.01}
+    cfg["seed"] = 2
+    p = tmp_path / "narrow.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["optimize", "--config", str(p), "--out", str(tmp_path)]) == 0
+    out = json.load(open(tmp_path / "optimize.json"))
+    for name in ("e_j1", "e_j2", "b0"):
+        ref = cfg["circuit"][name]
+        assert abs(out["best_params"][name] / ref - 1.0) <= 0.01 + 1e-12

@@ -86,6 +86,20 @@ def test_propagate_rejects_nonincreasing_times():
         propagate(ham, psi, 1.0, times=np.array([0.0, 0.5, 0.5]))
 
 
+def test_empty_times_rejected():
+    ham = Hamiltonian(np.zeros((4, 4), dtype=complex))
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = 1.0
+    with pytest.raises(ValueError, match="empty"):
+        propagate(ham, psi, 1.0, times=np.array([]))
+    pt = cross_kerr_point()
+    frame, _ = build_scheme_frame(pt["params"], pt["scheme"], (), CUT,
+                                  detunings=pt["detunings"])
+    with pytest.raises(ValueError, match="empty"):
+        propagate_frame(frame, product_state(CUT, "a", [1, 1], [1, 1]), 1.0,
+                        times=[])
+
+
 def test_norm_drift_contract_enforced():
     rng = np.random.RandomState(2)
     h = _random_hermitian(rng, 6)

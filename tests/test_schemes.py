@@ -8,12 +8,14 @@ import pytest
 
 from fwmsim.circuit import CircuitParams, eigensystem, transition_table
 from fwmsim.errors import FrameError, SchemeError
-from fwmsim.operators import FockCutoffs, basis_state, product_state
+from fwmsim.operators import (FockCutoffs, basis_state, embed_level_matrix,
+                              mode_operator, product_state)
 from fwmsim.presets import (beam_splitter_point, cross_kerr_point, operating_point,
                             single_mode_squeeze_point, two_mode_squeeze_point)
 from fwmsim.schemes import (Detunings, DriveSpec, Scheme, build_full_hamiltonian,
                             build_scheme_frame, dispersive_check, frame_h0_diagonal,
                             lab_drives, lab_hamiltonian_from_frame, static_frame)
+from fwmsim.schemes import _mode_pieces
 
 CUT = FockCutoffs(2, 2)
 ALL_SCHEMES = [Scheme.BEAM_SPLITTER, Scheme.CROSS_KERR,
@@ -150,6 +152,53 @@ def test_full_hamiltonian_crosstalk_terms():
     without = build_full_hamiltonian(p, (), CUT, include_crosstalk=False).static
     assert np.max(np.abs(with_ct - without)) > 0.001
     assert np.max(np.abs(with_ct - with_ct.conj().T)) < 1e-12
+
+
+def _matmul_full_hamiltonian(params, drives, cut):
+    """Full Hamiltonian assembled from full-dimension operators and
+    full-dimension matrix products."""
+    table = transition_table(eigensystem(params))
+    x1 = embed_level_matrix(cut, table.sigma_x_matrix(1))
+    x2 = embed_level_matrix(cut, table.sigma_x_matrix(2))
+    h = embed_level_matrix(cut, np.diag(eigensystem(params).energies))
+    h = h + params.omega_a1 * mode_operator(cut, 1, "number") \
+        + params.omega_a2 * mode_operator(cut, 2, "number")
+    q1 = mode_operator(cut, 1, "annihilate") + mode_operator(cut, 1, "create")
+    q2 = mode_operator(cut, 2, "annihilate") + mode_operator(cut, 2, "create")
+    h = h + params.g1 * (x1 @ q1) + params.g2 * (x2 @ q2)
+    if params.g2_1:
+        h = h + params.g2_1 * (x1 @ q2)
+    if params.g2_2:
+        h = h + params.g2_2 * (x2 @ q1)
+    if params.g3:
+        h = h + params.g3 * (q1 @ q2)
+    return h, [(d.rabi * (x1 if d.slot == 1 else x2), d.frequency) for d in drives]
+
+
+@pytest.mark.parametrize("cut", [FockCutoffs(2, 2), FockCutoffs(3, 3), FockCutoffs(4, 3)])
+@pytest.mark.parametrize("crosstalk", [{}, {"g2_1": 0.02, "g2_2": 0.03, "g3": 0.005}])
+def test_full_hamiltonian_equals_matmul_construction(cut, crosstalk):
+    bs = beam_splitter_point()
+    frame, _ = _frame_for(Scheme.BEAM_SPLITTER)
+    drives = lab_drives(frame)
+    for params, drv in ((cross_kerr_point()["params"], ()), (bs["params"], drives)):
+        params = dataclasses.replace(params, **crosstalk)
+        ham = build_full_hamiltonian(params, drv, cut)
+        static, osc = _matmul_full_hamiltonian(params, drv, cut)
+        assert np.array_equal(ham.static, static)
+        assert len(ham.osc) == len(osc) == len(drv)
+        for (m, nu), (m_ref, nu_ref) in zip(ham.osc, osc):
+            assert np.array_equal(m, m_ref) and nu == nu_ref
+
+
+def test_full_hamiltonian_mode_pieces_read_only():
+    pieces = _mode_pieces(FockCutoffs(3, 2))
+    assert pieces is _mode_pieces(FockCutoffs(3, 2))
+    for m in pieces:
+        assert m.shape == (12, 12)
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
 
 
 def test_full_hamiltonian_requires_drive_frequencies():
