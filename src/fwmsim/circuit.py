@@ -92,17 +92,6 @@ class DerivedCouplings:
     g3: float    # direct resonator-resonator cross-talk
     warnings: tuple[str, ...] = ()
 
-    @property
-    def crosstalk_ratios(self) -> dict[str, float]:
-        out = {}
-        if self.g1:
-            out["g2_1/g1"] = self.g2_1 / self.g1
-            out["g3/g1"] = self.g3 / self.g1
-        if self.g2:
-            out["g2_2/g2"] = self.g2_2 / self.g2
-            out["g3/g2"] = self.g3 / self.g2
-        return out
-
 
 def derive_couplings(caps: CapacitanceSet, omega_a1: float, omega_a2: float,
                      regime_ratio: float = 10.0) -> DerivedCouplings:

@@ -198,7 +198,7 @@ def cmd_sweep(cfg: ResolvedConfig, args) -> int:
     values = np.linspace(cfg.sweep["start"], cfg.sweep["stop"], cfg.sweep["points"])
     results = sweep_coupling_energy(
         values, bounds_pct=cfg.optimize["bounds_pct"], budget=cfg.sweep["budget"],
-        seed=cfg.seed, cutoffs=cfg.cutoffs,
+        seed=cfg.seed, base_params=cfg.params, cutoffs=cfg.cutoffs,
         gate_time_bounds=tuple(cfg.sweep["gate_time_ns"]),
         time_points=cfg.optimize["time_points"])
     rows = [(r.e_mx, r.fidelity, r.best_gate_time, *r.best_params) for r in results]
@@ -213,7 +213,7 @@ def cmd_optimize(cfg: ResolvedConfig, args) -> int:
     opt = cfg.optimize
     result = maximize_fidelity(
         opt["e_mx"], bounds_pct=opt["bounds_pct"], budget=opt["budget"],
-        seed=cfg.seed, cutoffs=cfg.cutoffs,
+        seed=cfg.seed, base_params=cfg.params, cutoffs=cfg.cutoffs,
         gate_time_bounds=tuple(opt["gate_time_ns"]),
         time_points=opt["time_points"])
     print(f"e_mx = {result.e_mx} GHz: fidelity {result.fidelity:.6f} at "

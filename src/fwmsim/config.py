@@ -28,6 +28,9 @@ _SWEEP_KEYS = {"variable", "start", "stop", "points", "budget", "gate_time_ns"}
 _OPT_KEYS = {"e_mx", "budget", "bounds_pct", "gate_time_ns", "time_points"}
 _TOP_KEYS = {"circuit", "scheme", "drives", "detunings", "delta_f", "cutoffs",
              "simulation", "sweep", "optimize", "outputs", "seed"}
+MAX_CUTOFF = 16  # largest Fock cutoff per mode a config may ask for
+MAX_ABS = 1e6    # largest magnitude of any number (GHz, ns, farads); beyond it
+                 # the closed forms overflow and the value is a unit error anyway
 
 
 def _require_keys(doc: dict, allowed: set, path: str):
@@ -38,15 +41,28 @@ def _require_keys(doc: dict, allowed: set, path: str):
             raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
 
 
+def _bounded(v) -> float | None:
+    """``v`` as a float if it is a JSON number within +-MAX_ABS, else None."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    try:
+        v = float(v)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return v if abs(v) <= MAX_ABS else None
+
+
 def _number(doc: dict, key: str, path: str, *, required=True, default=None):
     v = doc.get(key)
     if v is None:
         if required:
             raise ConfigError(f"{path}.{key}", "missing required number")
         return default
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {v!r}")
-    return float(v)
+    x = _bounded(v)
+    if x is None:
+        raise ConfigError(f"{path}.{key}",
+                          f"expected a finite number within +-{MAX_ABS:g}, got {v!r}")
+    return x
 
 
 def _integer(doc: dict, key: str, path: str, *, required=True, default=None):
@@ -62,11 +78,11 @@ def _integer(doc: dict, key: str, path: str, *, required=True, default=None):
 
 def _bounds_pair(doc: dict, key: str, path: str, default):
     v = doc.get(key, default)
-    if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)
-            or not v[0] < v[1]):
-        raise ConfigError(f"{path}.{key}", "expected [low, high] with low < high")
-    return [float(v[0]), float(v[1])]
+    pair = [_bounded(x) for x in v] if isinstance(v, (list, tuple)) else []
+    if len(pair) != 2 or None in pair or not pair[0] < pair[1]:
+        raise ConfigError(f"{path}.{key}",
+                          f"expected [low, high] within +-{MAX_ABS:g} with low < high")
+    return pair
 
 
 @dataclass(frozen=True)
@@ -180,6 +196,9 @@ def resolve(doc: dict) -> ResolvedConfig:
                               _integer(cut_doc, "n_max2", "cutoffs", required=False, default=3))
     except ValueError as exc:
         raise ConfigError("cutoffs", str(exc)) from exc
+    if max(cutoffs.n_max1, cutoffs.n_max2) > MAX_CUTOFF:
+        raise ConfigError("cutoffs", f"n_max must be <= {MAX_CUTOFF}; dense matrices "
+                          f"of dimension 4 (n_max1 + 1)(n_max2 + 1) are built")
 
     sim_doc = doc.get("simulation", {})
     _require_keys(sim_doc, _SIM_KEYS, "simulation")
@@ -213,6 +232,8 @@ def resolve(doc: dict) -> ResolvedConfig:
         }
         if sweep["points"] < 1:
             raise ConfigError("sweep.points", "must be >= 1")
+        if sweep["budget"] < 1:
+            raise ConfigError("sweep.budget", "must be >= 1")
         if variable == "b0" and sweep["points"] < 2:
             raise ConfigError("sweep.points", "a b0 sweep needs at least 2 points")
 
@@ -233,12 +254,18 @@ def resolve(doc: dict) -> ResolvedConfig:
         raise ConfigError("optimize.bounds_pct", "must be in (0, 1)")
     if optimize["time_points"] < 1:
         raise ConfigError("optimize.time_points", "must be >= 1")
+    if optimize["budget"] < 1:
+        raise ConfigError("optimize.budget", "must be >= 1")
 
     outputs = doc.get("outputs", {})
     _require_keys(outputs, {"dir"}, "outputs")
     outputs = {"dir": outputs.get("dir", ".")}
+    if not isinstance(outputs["dir"], str):
+        raise ConfigError("outputs.dir", f"expected a path string, got {outputs['dir']!r}")
 
     seed = _integer(doc, "seed", "", required=False, default=0)
+    if seed < 0:
+        raise ConfigError("seed", "must be >= 0")
 
     resolved_doc = {
         "circuit": circuit_doc,

@@ -24,8 +24,6 @@ SINGULARITY_TOL = 1e-12
 
 def _check_detunings(scheme: Scheme, det: Detunings):
     need = {"delta1": det.delta1, "delta2": det.delta2, "delta": det.delta}
-    if scheme is Scheme.SINGLE_MODE_SQUEEZE:
-        pass  # all three appear in its closed forms as well
     for name, value in need.items():
         if abs(value) < SINGULARITY_TOL:
             raise SingularityError(

@@ -6,12 +6,18 @@ Every Hamiltonian in this package is a finite sum
 
 with constant matrices and frequencies in GHz (time in ns). This form is
 exact for all scheme frames and for the driven lab Hamiltonian, and allows
-evaluation at arbitrary t without interpolation.
+evaluation at arbitrary t without interpolation. Each oscillating pair is
+evaluated as cos(2 pi nu_k t) P_k + sin(2 pi nu_k t) Q_k with the hermitian
+pieces P_k = M_k + M_k^dag and Q_k = i (M_k - M_k^dag), built once per
+Hamiltonian; when all pieces are real (the lab frame), so is H(t), and the
+Magnus step's matrix product runs in real arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,10 +55,28 @@ class Hamiltonian:
             scale = max(scale, abs(nu), float(np.max(np.abs(m))))
         return scale
 
-    def at(self, t: float) -> np.ndarray:
-        """Evaluate H(t); always hermitian."""
-        h = np.array(self.static, dtype=complex, copy=True)
+    @cached_property
+    def _pieces(self) -> tuple:
+        """Static part and the (P_k, Q_k, nu_k) hermitian pieces; real arrays
+        (Q_k = None) when H(t) is real at every t, as in the lab frame."""
+        terms = []
         for m, nu in self.osc:
-            phase = np.exp(2j * np.pi * nu * t)
-            h += m * phase + m.conj().T * np.conj(phase)
+            m_dag = m.conj().T
+            terms.append((m + m_dag, 1j * (m - m_dag), float(nu)))
+        if np.any(self.static.imag) or any(np.any(p.imag) or np.any(q)
+                                           for p, q, _ in terms):
+            return np.array(self.static, dtype=complex), tuple(terms)
+        return self.static.real.copy(), tuple((p.real, None, nu) for p, _, nu in terms)
+
+    def at(self, t: float) -> np.ndarray:
+        """Evaluate H(t), exactly hermitian: real weights of hermitian pieces.
+
+        The array is real when every piece is real."""
+        static, terms = self._pieces
+        h = static.copy()
+        for p, q, nu in terms:
+            phase = 2.0 * math.pi * nu * t
+            h += math.cos(phase) * p
+            if q is not None:
+                h += math.sin(phase) * q
         return h

@@ -148,7 +148,8 @@ def maximize_fidelity(e_mx: float, *, bounds: dict | None = None,
     """Maximize controlled-phase fidelity over (E_J1, E_J2, b0, gate time).
 
     Deterministic given ``seed``. Bounds default to +-``bounds_pct`` (10%)
-    around the bundled cross-Kerr operating point (which they must contain).
+    around ``base_params`` (default: the bundled cross-Kerr operating point),
+    which they must contain; its ``e_mx`` is replaced by ``e_mx``.
     Strategy: the reference point first, then deterministic candidates
     re-centered on the two-photon resonance, then seeded-uniform sampling,
     then a Nelder-Mead refinement from the best sample; the total number of
@@ -156,8 +157,7 @@ def maximize_fidelity(e_mx: float, *, bounds: dict | None = None,
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    base = base_params or replace(cross_kerr_point()["params"], e_mx=e_mx)
-    base = replace(base, e_mx=e_mx)
+    base = replace(base_params or cross_kerr_point()["params"], e_mx=e_mx)
     if bounds is None:
         bounds = {}
         for name in ("e_j1", "e_j2", "b0"):
@@ -227,12 +227,13 @@ def maximize_fidelity(e_mx: float, *, bounds: dict | None = None,
 
 def sweep_coupling_energy(e_mx_values, *, bounds_pct: float = 0.1,
                           budget: int = 300, seed: int = 0,
+                          base_params: CircuitParams | None = None,
                           cutoffs: FockCutoffs = FockCutoffs(3, 3),
                           gate_time_bounds: tuple = DEFAULT_GATE_TIME_BOUNDS,
                           time_points: int = DEFAULT_TIME_POINTS) -> list:
     """Run the fidelity search at each coupling energy; one result per value."""
     return [maximize_fidelity(float(e), bounds_pct=bounds_pct, budget=budget,
-                              seed=seed, cutoffs=cutoffs,
+                              seed=seed, base_params=base_params, cutoffs=cutoffs,
                               gate_time_bounds=gate_time_bounds,
                               time_points=time_points)
             for e in e_mx_values]

@@ -584,11 +584,11 @@ def _two_photon_paths(frame: SchemeFrame, nb1: float, nb2: float):
             ("drive1*mode1 two-photon", frame.rabi1 * frame.gtilde1 * s1, d.delta1 * d.delta)]
 
 
-_RETAINED = {
-    Scheme.CROSS_KERR: {1: {("d", "c"), ("a", "b")}, 2: {("d", "b"), ("a", "c")}},
-    Scheme.BEAM_SPLITTER: {1: {("d", "c")}, 2: {("d", "b")}},
-    Scheme.TWO_MODE_SQUEEZE: {1: {("d", "c")}, 2: {("a", "c")}},
-    Scheme.SINGLE_MODE_SQUEEZE: {1: {("d", "c"), ("a", "b")}, 2: set()},
+_RETAINED = {  # ordered: the dispersive report lists entries in this order
+    Scheme.CROSS_KERR: {1: (("a", "b"), ("d", "c")), 2: (("d", "b"), ("a", "c"))},
+    Scheme.BEAM_SPLITTER: {1: (("d", "c"),), 2: (("d", "b"),)},
+    Scheme.TWO_MODE_SQUEEZE: {1: (("d", "c"),), 2: (("a", "c"),)},
+    Scheme.SINGLE_MODE_SQUEEZE: {1: (("a", "b"), ("d", "c")), 2: ()},
 }
 
 

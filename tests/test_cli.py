@@ -266,6 +266,7 @@ def test_single_point_b0_sweep_exits_2_without_traceback(ck_config, tmp_path):
     ({"bounds_pct": 0.0}, "optimize.bounds_pct"),
     ({"bounds_pct": 1.0}, "optimize.bounds_pct"),
     ({"time_points": 0}, "optimize.time_points"),
+    ({"budget": 0}, "optimize.budget"),
 ])
 def test_invalid_optimize_knobs_exit_2(ck_config, tmp_path, capsys, value, field):
     _, cfg = ck_config
@@ -289,3 +290,65 @@ def test_optimize_bounds_pct_reaches_search(ck_config, tmp_path):
     for name in ("e_j1", "e_j2", "b0"):
         ref = cfg["circuit"][name]
         assert abs(out["best_params"][name] / ref - 1.0) <= 0.01 + 1e-12
+
+
+def test_derive_output_independent_of_hash_seed(tmp_path):
+    # the dispersive entries follow a fixed order, not the string-hash seed
+    config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "configs", "cross_kerr.json")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(fwmsim.__file__)))
+    outputs = []
+    for hash_seed in ("1", "3"):
+        proc = subprocess.run([sys.executable, "-m", "fwmsim.cli", "derive", "--config",
+                               config, "--out", str(tmp_path), "--oracle"],
+                              capture_output=True, env=dict(env, PYTHONHASHSEED=hash_seed),
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout, (tmp_path / "derive.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["optimize", "sweep"])
+def test_config_circuit_centres_the_search(ck_config, tmp_path, command):
+    _, cfg = ck_config
+    cfg = json.loads(json.dumps(cfg))
+    preset_e_j1 = cfg["circuit"]["e_j1"]
+    cfg["circuit"]["e_j1"] = 1.05 * preset_e_j1
+    cfg["optimize"] = {"budget": 12, "bounds_pct": 0.01}
+    cfg["sweep"] = {"variable": "emx", "start": 4.0, "stop": 4.0, "points": 1,
+                    "budget": 12}
+    cfg["seed"] = 2
+    p = tmp_path / "shifted.json"
+    p.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(p), "--out", str(tmp_path)]) == 0
+    if command == "optimize":
+        best = json.load(open(tmp_path / "optimize.json"))["best_params"]
+    else:
+        _, rows = _read_csv(tmp_path / "fidelity_sweep.csv")
+        best = dict(zip(("e_j1", "e_j2", "b0"), rows[0][3:]))
+    for name in ("e_j1", "e_j2", "b0"):
+        assert abs(best[name] / cfg["circuit"][name] - 1.0) <= 0.01 + 1e-12
+    assert best["e_j1"] > 1.01 * preset_e_j1
+
+
+@pytest.mark.parametrize("section,key,value,field", [
+    ("circuit", "e_j1", float("nan"), "circuit.e_j1"),
+    ("circuit", "e_j1", float("inf"), "circuit.e_j1"),
+    ("circuit", "e_j1", -1e300, "circuit.e_j1"),
+    ("circuit", "g1", 10**400, "circuit.g1"),
+    ("detunings", "delta", 2e6, "detunings.delta"),
+    ("cutoffs", "n_max1", 17, "cutoffs"),
+    ("outputs", "dir", 5, "outputs.dir"),
+    (None, "seed", -1, "seed"),
+], ids=["nan", "inf", "beyond-max-abs", "int-beyond-float", "detuning-2e6",
+        "cutoff-17", "dir-not-string", "negative-seed"])
+def test_out_of_range_config_values_exit_2(ck_config, tmp_path, capsys, section,
+                                            key, value, field):
+    _, cfg = ck_config
+    cfg = json.loads(json.dumps(cfg))
+    (cfg.setdefault(section, {}) if section else cfg)[key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["derive", "--config", str(p), "--out", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err

@@ -2,19 +2,25 @@
 tracking, and the dressed-energy oracle."""
 
 import dataclasses
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from fwmsim.dynamics import (dressed_energy_oracle, gate_fidelity, propagate,
-                             propagate_frame, track_branch)
+import fwmsim
+from fwmsim import dynamics
+from fwmsim.dynamics import (STEP_FREQ_FACTOR, dressed_energy_oracle, gate_fidelity,
+                             propagate, propagate_frame, track_branch)
 from fwmsim.effective import effective_params
 from fwmsim.errors import IntegrationError, TrackingError
 from fwmsim.hamiltonian import Hamiltonian
 from fwmsim.operators import FockCutoffs, basis_state, product_state
 from fwmsim.presets import cross_kerr_point, operating_point, two_mode_squeeze_point
-from fwmsim.schemes import Scheme, build_scheme_frame
+from fwmsim.schemes import Scheme, build_full_hamiltonian, build_scheme_frame, lab_drives
 
 CUT = FockCutoffs(2, 2)
 
@@ -342,3 +348,115 @@ def test_oracle_two_mode_squeeze_weak_drive_agreement():
     ep = effective_params(frame)
     oracle = dressed_energy_oracle(frame)
     assert abs(oracle.chi) == pytest.approx(abs(ep.chi), rel=0.06)
+
+
+# ---------------------------------------------------------------------------
+# lab-frame Magnus-4 step through eigh, against scipy's Pade expm as oracle
+
+def _lab_setup(scheme):
+    pt = operating_point(scheme)
+    cut = FockCutoffs(3, 3)
+    frame, _ = build_scheme_frame(pt["params"], pt["scheme"], pt["drives"], cut,
+                                  detunings=pt["detunings"])
+    ham = build_full_hamiltonian(pt["params"], lab_drives(frame), cut)
+    return ham, product_state(cut, frame.ground_level, [1, 1], [1, 1])
+
+
+def _h_direct(ham, t):
+    """H(t) summed straight from the (M_k, nu_k) pairs."""
+    h = np.array(ham.static, dtype=complex)
+    for m, nu in ham.osc:
+        phase = np.exp(2j * np.pi * nu * t)
+        h += m * phase + m.conj().T * np.conj(phase)
+    return h
+
+
+def _pade_step(ham, psi, t0, dt):
+    """One Magnus-4 step as exp(Omega) @ psi with scipy's Pade expm."""
+    c1 = 0.5 - math.sqrt(3.0) / 6.0
+    c2 = 0.5 + math.sqrt(3.0) / 6.0
+    a1 = -2j * np.pi * _h_direct(ham, t0 + c1 * dt)
+    a2 = -2j * np.pi * _h_direct(ham, t0 + c2 * dt)
+    omega = (dt / 2.0) * (a1 + a2) \
+        + (math.sqrt(3.0) / 12.0) * dt * dt * (a2 @ a1 - a1 @ a2)
+    return expm(omega) @ psi
+
+
+def _pade_states(ham, psi0, times):
+    """Pade Magnus-4 states at ``times`` on the substep grid of ``propagate``."""
+    substep = 1.0 / (STEP_FREQ_FACTOR * ham.max_frequency)
+    psi = psi0.astype(complex)
+    states = [psi]
+    for t, t_next in zip(times[:-1], times[1:]):
+        span = float(t_next) - float(t)
+        n_sub = max(1, int(math.ceil(span / substep)))
+        dt = span / n_sub
+        for k in range(n_sub):
+            psi = _pade_step(ham, psi, float(t) + k * dt, dt)
+        states.append(psi)
+    return np.array(states)
+
+
+_PADE_SCRIPT = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+import test_dynamics as t
+from fwmsim.schemes import Scheme
+ham, psi0 = t._lab_setup(Scheme.BEAM_SPLITTER)
+np.save(sys.argv[2], t._pade_states(ham, psi0, np.linspace(0.0, 0.2, 21)))
+"""
+
+
+def test_dynamics_does_not_use_scipy_expm():
+    assert "expm" not in vars(dynamics)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.BEAM_SPLITTER, Scheme.TWO_MODE_SQUEEZE,
+                                    Scheme.SINGLE_MODE_SQUEEZE])
+def test_lab_magnus_substep_matches_pade(scheme):
+    ham, psi0 = _lab_setup(scheme)
+    dt = 0.5 / (STEP_FREQ_FACTOR * ham.max_frequency)
+    for t0 in (0.0, 0.37):
+        times = np.array([t0, t0 + dt])
+        one = propagate(ham, psi0, times[-1], times=times, step=times[1] - times[0])
+        pade = _pade_step(ham, psi0, t0, times[1] - times[0])
+        assert np.max(np.abs(one.final_state - pade)) <= 1e-12
+
+
+def test_lab_magnus_bm_trajectory_matches_pade(tmp_path):
+    # The Pade reference runs with single-threaded BLAS in its own process:
+    # on a 2-core host scipy's expm takes about 10 times longer per call
+    # with its default two BLAS threads.
+    ham, psi0 = _lab_setup(Scheme.BEAM_SPLITTER)
+    times = np.linspace(0.0, 0.2, 21)
+    out = tmp_path / "pade.npy"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(fwmsim.__file__)))
+    proc = subprocess.Popen([sys.executable, "-c", _PADE_SCRIPT,
+                             os.path.dirname(os.path.abspath(__file__)), str(out)],
+                            env=env, stderr=subprocess.PIPE, text=True)
+    try:
+        traj = propagate(ham, psi0, times[-1], times=times, store_states=True)
+        _, err = proc.communicate(timeout=300)
+    finally:
+        proc.kill()  # no-op once the reference has exited
+    assert proc.returncode == 0, err
+    assert traj.norm_drift <= 1e-12
+    assert np.max(np.abs(np.array(traj.states) - np.load(out))) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", [Scheme.BEAM_SPLITTER, Scheme.TWO_MODE_SQUEEZE,
+                                    Scheme.SINGLE_MODE_SQUEEZE])
+def test_hamiltonian_at_cached_pieces(scheme):
+    # the lab Hamiltonian has real pieces, the scheme frame complex ones
+    pt = operating_point(scheme)
+    frame, _ = build_scheme_frame(pt["params"], pt["scheme"], pt["drives"],
+                                  FockCutoffs(2, 2), detunings=pt["detunings"])
+    lab, _ = _lab_setup(scheme)
+    for h in (lab, frame.hamiltonian()):
+        assert not h.is_static
+        for t in (0.0, 0.0123, 0.37, 41.5):
+            at = h.at(t)
+            assert np.array_equal(at, at.conj().T)
+            assert np.max(np.abs(at - _h_direct(h, t))) <= 1e-12
