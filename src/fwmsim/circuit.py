@@ -16,9 +16,9 @@ import numpy as np
 from scipy.constants import e as ELEMENTARY_CHARGE, h as PLANCK_H
 
 from .errors import DegeneracyError
+from .operators import LEVEL_INDEX, LEVELS
 
 DEGENERACY_TOL = 1e-6  # GHz; below this the mixing angles are ill-defined
-LEVELS = ("a", "b", "c", "d")
 
 
 def _charging_energy_ghz(capacitance_f: float) -> float:
@@ -294,12 +294,11 @@ class TransitionTable:
 
     def sigma_x_matrix(self, qubit: int) -> np.ndarray:
         """Reconstructed 4x4 sigma_x operator in the eigenbasis (a,b,c,d)."""
-        idx = {l: i for i, l in enumerate(LEVELS)}
         m = np.zeros((4, 4))
         table = self.x1 if qubit == 1 else self.x2
         for (i, j), coef in table.items():
-            m[idx[i], idx[j]] += coef
-            m[idx[j], idx[i]] += coef
+            m[LEVEL_INDEX[i], LEVEL_INDEX[j]] += coef
+            m[LEVEL_INDEX[j], LEVEL_INDEX[i]] += coef
         return m
 
     def effective_coupling(self, g: float, qubit: int, pair: tuple[str, str]) -> float:

@@ -31,6 +31,7 @@ _TOP_KEYS = {"circuit", "scheme", "drives", "detunings", "delta_f", "cutoffs",
 MAX_CUTOFF = 16  # largest Fock cutoff per mode a config may ask for
 MAX_ABS = 1e6    # largest magnitude of any number (GHz, ns, farads); beyond it
                  # the closed forms overflow and the value is a unit error anyway
+MAX_POINTS = 10**6  # largest sample count (simulation, sweep, optimizer time scan)
 
 
 def _require_keys(doc: dict, allowed: set, path: str):
@@ -73,6 +74,13 @@ def _integer(doc: dict, key: str, path: str, *, required=True, default=None):
         return default
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{path}.{key}", f"expected an integer, got {v!r}")
+    return v
+
+
+def _points(doc: dict, key: str, path: str, *, required=True, default=None) -> int:
+    v = _integer(doc, key, path, required=required, default=default)
+    if not 1 <= v <= MAX_POINTS:
+        raise ConfigError(f"{path}.{key}", f"must be in [1, {MAX_POINTS}]")
     return v
 
 
@@ -209,11 +217,8 @@ def resolve(doc: dict) -> ResolvedConfig:
         "frame": frame_kind,
         "duration_ns": _number(sim_doc, "duration_ns", "simulation",
                                required=False, default=None),
-        "points": _integer(sim_doc, "points", "simulation",
-                           required=False, default=2001),
+        "points": _points(sim_doc, "points", "simulation", required=False, default=2001),
     }
-    if simulation["points"] < 1:
-        raise ConfigError("simulation.points", "must be >= 1")
 
     sweep = None
     if "sweep" in doc:
@@ -226,12 +231,10 @@ def resolve(doc: dict) -> ResolvedConfig:
             "variable": variable,
             "start": _number(sw, "start", "sweep"),
             "stop": _number(sw, "stop", "sweep"),
-            "points": _integer(sw, "points", "sweep"),
+            "points": _points(sw, "points", "sweep"),
             "budget": _integer(sw, "budget", "sweep", required=False, default=300),
             "gate_time_ns": _bounds_pair(sw, "gate_time_ns", "sweep", [60.0, 120.0]),
         }
-        if sweep["points"] < 1:
-            raise ConfigError("sweep.points", "must be >= 1")
         if sweep["budget"] < 1:
             raise ConfigError("sweep.budget", "must be >= 1")
         if variable == "b0" and sweep["points"] < 2:
@@ -247,13 +250,11 @@ def resolve(doc: dict) -> ResolvedConfig:
                               default=0.1),
         "gate_time_ns": _bounds_pair(opt_doc, "gate_time_ns", "optimize",
                                      [60.0, 120.0]),
-        "time_points": _integer(opt_doc, "time_points", "optimize",
-                                required=False, default=801),
+        "time_points": _points(opt_doc, "time_points", "optimize",
+                               required=False, default=801),
     }
     if not 0.0 < optimize["bounds_pct"] < 1.0:
         raise ConfigError("optimize.bounds_pct", "must be in (0, 1)")
-    if optimize["time_points"] < 1:
-        raise ConfigError("optimize.time_points", "must be >= 1")
     if optimize["budget"] < 1:
         raise ConfigError("optimize.budget", "must be >= 1")
 

@@ -24,7 +24,7 @@ from .effective import EffectiveParams, canonical_gate_time, effective_params
 from .errors import IntegrationError, OracleError, TrackingError
 from .hamiltonian import Hamiltonian
 from .operators import FockCutoffs, LEVEL_INDEX, basis_state
-from .schemes import DriveSpec, Scheme, SchemeFrame, build_scheme_frame, static_frame
+from .schemes import DriveSpec, SchemeFrame, build_scheme_frame, static_frame
 
 NORM_TOL = 1e-9
 DEFAULT_POINTS = 2001          # >= 2000 samples per gate time
@@ -180,15 +180,9 @@ def propagate_frame(frame: SchemeFrame, psi0: np.ndarray, t_end: float, *,
     times = np.asarray(times, dtype=float)
     _check_times(times)
     h_static, g_diag = static_frame(frame)
-    w, u = np.linalg.eigh(h_static)
-    c0 = u.conj().T @ psi0
-
-    def states():
-        for t in times:
-            inner = u @ (np.exp(-2j * np.pi * w * t) * c0)
-            yield np.exp(-2j * np.pi * g_diag * t) * inner
-
-    return _trajectory(times, states(), references, store_states, norm_tol)
+    states = (np.exp(-2j * np.pi * g_diag * t) * inner
+              for t, inner in zip(times, evolve_static(h_static, psi0, times)))
+    return _trajectory(times, states, references, store_states, norm_tol)
 
 
 def computational_indices(cutoffs: FockCutoffs, ground_level: str) -> np.ndarray:
@@ -238,22 +232,13 @@ def track_branch(h_full: np.ndarray, h_base: np.ndarray, label_vec: np.ndarray,
     return energy, v
 
 
-def _oracle_cutoffs(scheme: Scheme) -> FockCutoffs:
-    # Pair-creation towers must terminate right above the tracked pair,
-    # otherwise tower repulsion contaminates the two-level avoided crossing.
-    if scheme is Scheme.SINGLE_MODE_SQUEEZE:
-        return FockCutoffs(2, 1)
-    return FockCutoffs(1, 1)
-
-
 def _rebuild(frame: SchemeFrame, cutoffs: FockCutoffs) -> SchemeFrame:
-    drives = []
-    if frame.scheme is not Scheme.CROSS_KERR:
-        drives = [DriveSpec(slot=1, rabi=frame.rabi1, detuning=frame.detunings.delta1),
-                  DriveSpec(slot=2, rabi=frame.rabi2, detuning=frame.detunings.delta2)]
-    rebuilt, _ = build_scheme_frame(
-        frame.params, frame.scheme, tuple(drives), cutoffs,
-        detunings=frame.detunings, delta_f=frame.detunings.delta_f)
+    det = frame.detunings
+    drives = tuple(DriveSpec(slot=s, rabi=(frame.rabi1, frame.rabi2)[s - 1],
+                             detuning=(det.delta1, det.delta2)[s - 1])
+                   for s in frame.spec.drives)
+    rebuilt, _ = build_scheme_frame(frame.params, frame.scheme, drives, cutoffs,
+                                    detunings=det, delta_f=det.delta_f)
     return rebuilt
 
 
@@ -315,16 +300,10 @@ def _pair_gap(frame: SchemeFrame, mu: float, pair: tuple[np.ndarray, np.ndarray]
 def _pair_oracle(frame: SchemeFrame, scan_points: int) -> EffectiveParams:
     cut = frame.cutoffs
     g = frame.ground_level
+    n_first, n_second, element = frame.spec.oracle_pair
+    pair = (basis_state(cut, g, *n_first), basis_state(cut, g, *n_second))
     keep = None
-    if frame.scheme is Scheme.BEAM_SPLITTER:
-        pair = (basis_state(cut, g, 1, 0), basis_state(cut, g, 0, 1))
-        element = 1.0
-    elif frame.scheme is Scheme.TWO_MODE_SQUEEZE:
-        pair = (basis_state(cut, g, 0, 0), basis_state(cut, g, 1, 1))
-        element = 1.0
-    else:
-        pair = (basis_state(cut, g, 0, 0), basis_state(cut, g, 2, 0))
-        element = math.sqrt(2.0)
+    if not frame.spec.retained[2]:
         # mode 2 is decoupled here; drop its exactly degenerate copies so
         # eigh cannot mix them arbitrarily
         block = cut.dim1 * cut.dim2
@@ -369,7 +348,7 @@ def dressed_energy_oracle(frame: SchemeFrame, *, ramp_steps: int = 10,
     {0}/{2} with the sqrt(2) matrix element divided out for the single-mode
     squeeze) while scanning the four-photon detuning.
     """
-    work = _rebuild(frame, cutoffs or _oracle_cutoffs(frame.scheme))
-    if work.scheme is Scheme.CROSS_KERR:
+    work = _rebuild(frame, cutoffs or frame.spec.oracle_cutoffs)
+    if work.spec.oracle_pair is None:
         return _cross_kerr_oracle(work, ramp_steps)
     return _pair_oracle(work, scan_points)

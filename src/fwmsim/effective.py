@@ -17,7 +17,7 @@ from scipy.linalg import expm
 
 from .errors import SingularityError, TruncationError
 from .operators import FockCutoffs, destroy
-from .schemes import Detunings, Scheme, SchemeFrame
+from .schemes import SPECS, Detunings, Scheme, SchemeFrame
 
 SINGULARITY_TOL = 1e-12
 
@@ -31,39 +31,6 @@ def _check_detunings(scheme: Scheme, det: Detunings):
                 f"{scheme.value} are singular there")
 
 
-def mode_shifts(scheme: Scheme, det: Detunings, gtilde1: float, gtilde2: float,
-                rabi1: float, rabi2: float) -> tuple[float, float]:
-    """Drive/coupling-induced frequency shifts (delta_eps_1, delta_eps_2)."""
-    _check_detunings(scheme, det)
-    d1, d2, dd = det.delta1, det.delta2, det.delta
-    if scheme is Scheme.BEAM_SPLITTER:
-        return (rabi1**2 * gtilde1**2 / (d1**2 * dd),
-                rabi2**2 * gtilde2**2 / (d2**2 * dd))
-    if scheme is Scheme.CROSS_KERR:
-        return gtilde1**2 / d1, gtilde2**2 / d2
-    if scheme is Scheme.TWO_MODE_SQUEEZE:
-        # the opposite-side drive dresses each mode's shift
-        return (rabi2**2 * gtilde1**2 / (d2**2 * dd),
-                rabi1**2 * gtilde2**2 / (d1**2 * dd))
-    # single-mode squeeze: only mode 1 is involved
-    de1 = (dd / d1 + rabi1**2 / d1**2 + rabi2**2 / d2**2) * (gtilde1**2 / dd)
-    return de1, 0.0
-
-
-def coupling_strength(scheme: Scheme, det: Detunings, gtilde1: float,
-                      gtilde2: float, rabi1: float, rabi2: float) -> float:
-    """Signed fourth-order effective coupling chi of the scheme (GHz)."""
-    _check_detunings(scheme, det)
-    d1, d2, dd = det.delta1, det.delta2, det.delta
-    if scheme is Scheme.BEAM_SPLITTER:
-        return rabi1 * rabi2 * gtilde1 * gtilde2 / (d1 * d2 * dd)
-    if scheme is Scheme.CROSS_KERR:
-        return (1.0 / d1 + 1.0 / d2) ** 2 * (gtilde1**2 * gtilde2**2 / dd)
-    if scheme is Scheme.TWO_MODE_SQUEEZE:
-        return rabi1 * rabi2 * gtilde1 * gtilde2 / (d1 * d2 * dd)
-    return rabi1 * rabi2 * gtilde1**2 / (d1 * d2 * dd)
-
-
 def canonical_gate_time(scheme: Scheme, chi: float) -> float:
     """Scheme-specific canonical operation time in ns.
 
@@ -74,13 +41,7 @@ def canonical_gate_time(scheme: Scheme, chi: float) -> float:
     """
     if chi == 0:
         return math.inf
-    if scheme is Scheme.BEAM_SPLITTER:
-        return 1.0 / (4.0 * abs(chi))
-    if scheme is Scheme.CROSS_KERR:
-        return 1.0 / (2.0 * abs(chi))
-    if scheme is Scheme.TWO_MODE_SQUEEZE:
-        return 1.0 / (2.0 * math.pi * abs(chi))
-    return 1.0 / (4.0 * math.pi * abs(chi))
+    return 1.0 / (SPECS[scheme].gate_scale * abs(chi))
 
 
 @dataclass(frozen=True)
@@ -112,19 +73,16 @@ def effective_params(frame: SchemeFrame,
 def effective_params_from_values(scheme: Scheme, det: Detunings, gtilde1: float,
                                  gtilde2: float, rabi1: float = 0.0,
                                  rabi2: float = 0.0) -> EffectiveParams:
-    chi = coupling_strength(scheme, det, gtilde1, gtilde2, rabi1, rabi2)
-    de1, de2 = mode_shifts(scheme, det, gtilde1, gtilde2, rabi1, rabi2)
-    if scheme is Scheme.BEAM_SPLITTER:
-        df = de2 - de1
-    elif scheme is Scheme.CROSS_KERR:
-        df = 0.0
-    elif scheme is Scheme.TWO_MODE_SQUEEZE:
-        df = -(de1 + de2)
-    else:
-        df = 2.0 * de1
-        de2 = None
+    """The scheme's closed forms: fourth-order coupling chi, mode shifts
+    delta_eps and the four-photon detuning Delta_F that balances them."""
+    _check_detunings(scheme, det)
+    spec = SPECS[scheme]
+    args = (det.delta1, det.delta2, det.delta, gtilde1, gtilde2, rabi1, rabi2)
+    chi = spec.chi(*args)
+    de1, de2 = spec.shifts(*args)
     return EffectiveParams(scheme=scheme, chi=chi, delta_eps1=de1, delta_eps2=de2,
-                           delta_f=df, gate_time=canonical_gate_time(scheme, chi))
+                           delta_f=spec.balance(de1, de2),
+                           gate_time=canonical_gate_time(scheme, chi))
 
 
 def controlled_phase_targets(ep: EffectiveParams, t: float) -> np.ndarray:

@@ -2,6 +2,10 @@
 interaction-picture scheme frames (beam splitter, cross-Kerr, two-mode
 squeeze, single-mode squeeze), plus dispersive-condition validation.
 
+Each scheme is one :class:`SchemeSpec` entry of :data:`SPECS`: the frame
+builder, the lab model, the dispersive report, the closed forms and the
+oracle read that table instead of branching on the scheme.
+
 Detunings are first-class inputs. When a frame is built without explicit
 detunings they are derived from the circuit spectrum; when the caller
 supplies them (the canonical, reproducible form) they are used verbatim and
@@ -15,12 +19,13 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .circuit import CircuitParams, EigenSystem, eigensystem, transition_table
-from .errors import FrameError, SchemeError
+from .errors import FrameError, SchemeError, SingularityError
 from .hamiltonian import Hamiltonian
 from .operators import (FockCutoffs, LEVELS, LEVEL_INDEX, destroy, embed_level_matrix,
                         mode_operator, transition_operator)
@@ -40,12 +45,111 @@ class Scheme(enum.Enum):
         raise SchemeError(f"unknown scheme code {code!r} (use bm|ck|sq2|sq1)")
 
 
-# drives required per scheme (the cross-Kerr frame is drive-free)
-_DRIVE_COUNT = {Scheme.BEAM_SPLITTER: 2, Scheme.CROSS_KERR: 0,
-                Scheme.TWO_MODE_SQUEEZE: 2, Scheme.SINGLE_MODE_SQUEEZE: 2}
+@dataclass(frozen=True)
+class SchemeSpec:
+    """The fixed facts of one four-wave-mixing geometry.
 
-_GROUND = {Scheme.BEAM_SPLITTER: "a", Scheme.CROSS_KERR: "a",
-           Scheme.TWO_MODE_SQUEEZE: "b", Scheme.SINGLE_MODE_SQUEEZE: "b"}
+    A level pair ``"ij"`` names sigma_ij = |i><j|. A frame term
+    (coefficient, ladder, pairs) is the named coefficient (``rabi1``,
+    ``rabi2``, ``gtilde1``, ``gtilde2``) times the ladder operator (``a1``,
+    ``a2``, ``a2dag`` or None) times the sum of the pair sigmas; its
+    hermitian conjugate is added. Closed forms take (delta1, delta2, delta,
+    gtilde1, gtilde2, rabi1, rabi2) in GHz.
+    """
+
+    levels: tuple           # ground, then the levels at -delta1, -delta2, -delta in H_I0
+    h0: Callable            # (omega_a1, omega_a2, drive freqs) -> {level: H0 energy}
+    drives: dict            # drive slot -> the transition it addresses
+    v_terms: tuple          # static V_I terms
+    osc_term: tuple | None  # the one V_I term oscillating at Delta_F
+    retained: dict          # mode -> retained coupling pairs, in report order
+    two_photon: tuple       # (label, amplitude factors, k); detuning delta_k * delta
+    shifts: Callable        # -> (delta_eps1, delta_eps2 or None)
+    chi: Callable           # -> signed fourth-order coupling
+    balance: Callable       # (delta_eps1, delta_eps2) -> balanced Delta_F
+    gate_scale: float       # canonical gate time 1 / (gate_scale |chi|)
+    four_photon: tuple | None = None  # (label, lab Delta_F from (freqs, omega_a1, omega_a2))
+    matched: tuple | None = None      # (slot, its frequency from (freqs, wa1, wa2, Delta_F))
+    oracle_pair: tuple | None = None  # ((n1, n2), (n1, n2), element); None: sector oracle
+    oracle_cutoffs: FockCutoffs = FockCutoffs(1, 1)
+
+
+SPECS: dict[Scheme, SchemeSpec] = {
+    Scheme.BEAM_SPLITTER: SchemeSpec(
+        levels=("a", "c", "b", "d"),
+        h0=lambda wa1, wa2, f: {"a": 0.0, "c": f[1], "b": f[2], "d": f[1] + wa1},
+        drives={1: "ca", 2: "ba"},
+        v_terms=(("rabi1", None, ("ca",)), ("rabi2", None, ("ba",)),
+                 ("gtilde1", "a1", ("dc",))),
+        osc_term=("gtilde2", "a2", ("db",)),
+        retained={1: ("dc",), 2: ("db",)},
+        two_photon=(("drive1*mode1 two-photon", ("rabi1", "gtilde1", "s1"), 1),
+                    ("drive2*mode2 two-photon", ("rabi2", "gtilde2", "s2"), 2)),
+        shifts=lambda d1, d2, dd, g1, g2, r1, r2: (r1**2 * g1**2 / (d1**2 * dd),
+                                                   r2**2 * g2**2 / (d2**2 * dd)),
+        chi=lambda d1, d2, dd, g1, g2, r1, r2: r1 * r2 * g1 * g2 / (d1 * d2 * dd),
+        balance=lambda de1, de2: de2 - de1,
+        gate_scale=4.0,
+        four_photon=("omega1+omega_a1-omega2-omega_a2",
+                     lambda f, wa1, wa2: f[1] + wa1 - f[2] - wa2),
+        oracle_pair=((1, 0), (0, 1), 1.0)),
+    Scheme.CROSS_KERR: SchemeSpec(
+        levels=("a", "b", "c", "d"),
+        h0=lambda wa1, wa2, f: {"a": 0.0, "b": wa1, "c": wa2, "d": wa1 + wa2},
+        drives={},
+        v_terms=(("gtilde1", "a1", ("dc", "ba")), ("gtilde2", "a2", ("db", "ca"))),
+        osc_term=None,
+        retained={1: ("ab", "dc"), 2: ("db", "ac")},
+        two_photon=(("mode1*mode2 two-photon (via b)", ("gtilde1", "gtilde2", "s1", "s2"), 1),
+                    ("mode1*mode2 two-photon (via c)", ("gtilde1", "gtilde2", "s1", "s2"), 2)),
+        shifts=lambda d1, d2, dd, g1, g2, r1, r2: (g1**2 / d1, g2**2 / d2),
+        chi=lambda d1, d2, dd, g1, g2, r1, r2:
+            (1.0 / d1 + 1.0 / d2) ** 2 * (g1**2 * g2**2 / dd),
+        balance=lambda de1, de2: 0.0,
+        gate_scale=2.0),
+    Scheme.TWO_MODE_SQUEEZE: SchemeSpec(
+        levels=("b", "a", "d", "c"),
+        h0=lambda wa1, wa2, f: {"b": 0.0, "a": f[1], "c": f[2] - wa1, "d": f[2]},
+        drives={1: "ab", 2: "db"},
+        v_terms=(("rabi1", None, ("ab",)), ("rabi2", None, ("db",)),
+                 ("gtilde1", "a1", ("dc",))),
+        # pair-creation branch of the mode-2 coupling; the printed form of
+        # this term is orientation-ambiguous, fixed here so the fourth-order
+        # pair term is chi a1^dag a2^dag e^{+i 2 pi Delta_F t} + h.c.
+        osc_term=("gtilde2", "a2dag", ("ac",)),
+        retained={1: ("dc",), 2: ("ac",)},
+        two_photon=(("drive2*mode1 two-photon", ("rabi2", "gtilde1", "s1"), 2),
+                    ("drive1*mode2 two-photon", ("rabi1", "gtilde2", "s2"), 1)),
+        # the opposite-side drive dresses each mode's shift
+        shifts=lambda d1, d2, dd, g1, g2, r1, r2: (r2**2 * g1**2 / (d2**2 * dd),
+                                                   r1**2 * g2**2 / (d1**2 * dd)),
+        chi=lambda d1, d2, dd, g1, g2, r1, r2: r1 * r2 * g1 * g2 / (d1 * d2 * dd),
+        balance=lambda de1, de2: -(de1 + de2),
+        gate_scale=2.0 * math.pi,
+        four_photon=("omega2-omega1-omega_a1-omega_a2",
+                     lambda f, wa1, wa2: f[2] - f[1] - wa1 - wa2),
+        oracle_pair=((0, 0), (1, 1), 1.0)),
+    Scheme.SINGLE_MODE_SQUEEZE: SchemeSpec(
+        levels=("b", "a", "d", "c"),
+        h0=lambda wa1, wa2, f: {"b": 0.0, "a": wa1, "c": f[2] - wa1, "d": f[2]},
+        drives={1: "ca", 2: "db"},
+        v_terms=(("rabi2", None, ("db",)), ("gtilde1", "a1", ("dc", "ab"))),
+        osc_term=("rabi1", None, ("ca",)),
+        retained={1: ("ab", "dc"), 2: ()},  # mode 2 is decoupled in this frame
+        two_photon=(("drive2*mode1 two-photon", ("rabi2", "gtilde1", "s1"), 2),
+                    ("drive1*mode1 two-photon", ("rabi1", "gtilde1", "s1"), 1)),
+        shifts=lambda d1, d2, dd, g1, g2, r1, r2: (
+            (dd / d1 + r1**2 / d1**2 + r2**2 / d2**2) * (g1**2 / dd), None),
+        chi=lambda d1, d2, dd, g1, g2, r1, r2: r1 * r2 * g1**2 / (d1 * d2 * dd),
+        balance=lambda de1, de2: 2.0 * de1,
+        gate_scale=4.0 * math.pi,
+        # delta1 is set by the circuit; drive 1 follows from four-photon matching
+        matched=(1, lambda f, wa1, wa2, df: f[2] - 2.0 * wa1 - df),
+        oracle_pair=((0, 0), (2, 0), math.sqrt(2.0)),
+        # the pair-creation tower must end right above the tracked pair,
+        # otherwise tower repulsion contaminates the avoided crossing
+        oracle_cutoffs=FockCutoffs(2, 1)),
+}
 
 
 @dataclass(frozen=True)
@@ -109,98 +213,51 @@ class SchemeFrame:
         return Hamiltonian(self.h_i0 + self.v_static, self.osc_terms)
 
     @property
+    def spec(self) -> SchemeSpec:
+        return SPECS[self.scheme]
+
+    @property
     def level_energies(self) -> dict:
         """H_I0 diagonal value per level (GHz)."""
         d = self.detunings
-        if self.scheme is Scheme.CROSS_KERR:
-            return {"a": 0.0, "b": -d.delta1, "c": -d.delta2, "d": -d.delta}
-        if self.scheme is Scheme.BEAM_SPLITTER:
-            return {"a": 0.0, "c": -d.delta1, "b": -d.delta2, "d": -d.delta}
-        # both squeezing frames share the same level assignment
-        return {"b": 0.0, "a": -d.delta1, "d": -d.delta2, "c": -d.delta}
-
-
-def _sigma(cutoffs, i, j):
-    return transition_operator(cutoffs, i, j)
+        ground, l1, l2, l3 = self.spec.levels
+        return {ground: 0.0, l1: -d.delta1, l2: -d.delta2, l3: -d.delta}
 
 
 def _derive_detunings(scheme: Scheme, es: EigenSystem, params: CircuitParams,
                       drives: tuple[DriveSpec, ...]) -> tuple[Detunings, dict, list]:
     """Scheme detuning definitions, drive-frequency back-solving and the
-    consistency notes comparing every derivable quantity with its input."""
-    notes = []
-    wa1, wa2 = params.omega_a1, params.omega_a2
+    consistency notes comparing every derivable quantity with its input.
 
-    def drive(slot, need_frequency=True):
-        for d in drives:
-            if d.slot == slot:
-                if need_frequency and d.detuning is None and d.frequency is None:
-                    raise SchemeError(
-                        f"drive {slot} of scheme {scheme.value} needs either a "
-                        "detuning (canonical) or a frequency")
-                return d
-        raise SchemeError(f"scheme {scheme.value} needs a drive in slot {slot}")
-
-    freqs = {}
-    if scheme is Scheme.CROSS_KERR:
-        d1 = wa1 - es.transition_energy("b", "a")
-        d2 = wa2 - es.transition_energy("c", "a")
-        dd = wa1 + wa2 - es.transition_energy("d", "a")
-        return Detunings(d1, d2, dd), freqs, notes
-
-    if scheme is Scheme.BEAM_SPLITTER:
-        dr1, dr2 = drive(1), drive(2)
-        e_ca = es.transition_energy("c", "a")
-        e_ba = es.transition_energy("b", "a")
-        e_da = es.transition_energy("d", "a")
-        d1 = dr1.detuning if dr1.detuning is not None else (dr1.frequency or 0.0) - e_ca
-        d2 = dr2.detuning if dr2.detuning is not None else (dr2.frequency or 0.0) - e_ba
-        freqs[1] = e_ca + d1
-        freqs[2] = e_ba + d2
-        dd = freqs[1] + wa1 - e_da
-        return Detunings(d1, d2, dd), freqs, notes
-
-    # both squeezing schemes measure from ground level b
-    e_ab = es.transition_energy("a", "b")
-    e_db = es.transition_energy("d", "b")
-    e_cb = es.transition_energy("c", "b")
-    if scheme is Scheme.TWO_MODE_SQUEEZE:
-        dr1, dr2 = drive(1), drive(2)
-        d1 = dr1.detuning if dr1.detuning is not None else (dr1.frequency or 0.0) - e_ab
-        d2 = dr2.detuning if dr2.detuning is not None else (dr2.frequency or 0.0) - e_db
-        freqs[1] = e_ab + d1
-        freqs[2] = e_db + d2
-        dd = freqs[2] - wa1 - e_cb
-        return Detunings(d1, d2, dd), freqs, notes
-
-    # single-mode squeeze: delta1 is fixed by the circuit (mode 1 vs E_ab)
-    dr1, dr2 = drive(1, need_frequency=False), drive(2)
-    d1 = wa1 - e_ab
-    if dr1.detuning is not None and abs(dr1.detuning - d1) > 1e-9:
-        notes.append(f"drive-1 detuning input {dr1.detuning:.6g} GHz ignored: "
-                     f"this scheme's delta1 = omega_a1 - E_ab = {d1:.6g} GHz "
-                     "is set by the circuit")
-    d2 = dr2.detuning if dr2.detuning is not None else (dr2.frequency or 0.0) - e_db
-    freqs[2] = e_db + d2
-    dd = freqs[2] - wa1 - e_cb
-    # drive 1 frequency follows from four-photon matching (filled in later
-    # once delta_f is known); a user-specified value is reported against it.
+    Drive slot k sets delta_k, unless four-photon matching sets that drive's
+    frequency; every other detuning is h0[level] - E(level, ground)."""
+    spec = SPECS[scheme]
+    by_slot = {d.slot: d for d in drives}
+    matched = spec.matched[0] if spec.matched else None
+    notes, freqs, set_by_drive = [], {}, {}
+    for slot, pair in spec.drives.items():
+        if slot == matched:
+            continue
+        dr = by_slot[slot]
+        if dr.detuning is None and dr.frequency is None:
+            raise SchemeError(f"drive {slot} of scheme {scheme.value} needs either a "
+                              "detuning (canonical) or a frequency")
+        e = es.transition_energy(*pair)
+        set_by_drive[slot] = dr.detuning if dr.detuning is not None else dr.frequency - e
+        freqs[slot] = e + set_by_drive[slot]
+    h0 = spec.h0(params.omega_a1, params.omega_a2, freqs)
+    ground = spec.levels[0]
+    d1, d2, dd = (set_by_drive[k] if k in set_by_drive
+                  else h0[level] - es.transition_energy(level, ground)
+                  for k, level in enumerate(spec.levels[1:], 1))
+    if matched is not None:
+        given, value = by_slot[matched].detuning, (d1, d2)[matched - 1]
+        if given is not None and abs(given - value) > 1e-9:
+            notes.append(f"drive-{matched} detuning input {given:.6g} GHz ignored: "
+                         f"this scheme's delta{matched} = omega_a{matched} - "
+                         f"E_{spec.levels[matched]}{ground} = {value:.6g} GHz "
+                         "is set by the circuit")
     return Detunings(d1, d2, dd), freqs, notes
-
-
-def balanced_delta_f(scheme: Scheme, det: Detunings, gtilde1: float,
-                     gtilde2: float, rabi1: float, rabi2: float) -> float:
-    """Four-photon detuning that balances the scheme's mode shifts."""
-    from .effective import mode_shifts  # local import to avoid a cycle
-
-    de1, de2 = mode_shifts(scheme, det, gtilde1, gtilde2, rabi1, rabi2)
-    if scheme is Scheme.BEAM_SPLITTER:
-        return de2 - de1
-    if scheme is Scheme.TWO_MODE_SQUEEZE:
-        return -(de1 + de2)
-    if scheme is Scheme.SINGLE_MODE_SQUEEZE:
-        return 2.0 * de1
-    return 0.0
 
 
 def build_scheme_frame(params: CircuitParams, scheme: Scheme,
@@ -215,10 +272,13 @@ def build_scheme_frame(params: CircuitParams, scheme: Scheme,
     balancing value depends on the final detunings). Differences between
     supplied and derived detunings are recorded in the frame notes.
     """
+    from .effective import effective_params_from_values  # effective imports this module
+
+    spec = SPECS[scheme]
     drives = tuple(drives)
-    if len(drives) != _DRIVE_COUNT[scheme]:
+    if len(drives) != len(spec.drives):
         raise SchemeError(
-            f"scheme {scheme.value} takes exactly {_DRIVE_COUNT[scheme]} drives, "
+            f"scheme {scheme.value} takes exactly {len(spec.drives)} drives, "
             f"got {len(drives)}")
     slots = sorted(d.slot for d in drives)
     if slots != sorted(set(slots)) or (drives and slots != list(range(1, len(drives) + 1))):
@@ -228,7 +288,7 @@ def build_scheme_frame(params: CircuitParams, scheme: Scheme,
     table = transition_table(es)
     gt1 = table.effective_coupling(params.g1, 1, ("d", "c"))     # g1 cos(th+ - th-)
     gt2 = table.effective_coupling(params.g2, 2, ("d", "b"))     # g2 cos(th+ + th-)
-    if scheme is Scheme.SINGLE_MODE_SQUEEZE:
+    if not spec.retained[2]:
         gt2 = 0.0  # mode 2 is decoupled in this frame
 
     derived, freqs, notes = _derive_detunings(scheme, es, params, drives)
@@ -247,69 +307,51 @@ def build_scheme_frame(params: CircuitParams, scheme: Scheme,
     if delta_f is not None:
         df = delta_f
     else:
-        from .errors import SingularityError
         try:
-            df = balanced_delta_f(scheme, det, gt1, gt2, rabi1, rabi2)
+            df = effective_params_from_values(scheme, det, gt1, gt2, rabi1, rabi2).delta_f
         except SingularityError:
             df = 0.0  # shifts undefined at zero detuning; nothing to balance
     det = replace(det, delta_f=df)
 
     # four-photon lab-frequency bookkeeping
     wa1, wa2 = params.omega_a1, params.omega_a2
-    if scheme is Scheme.BEAM_SPLITTER and 1 in freqs and 2 in freqs:
-        lab_df = freqs[1] + wa1 - freqs[2] - wa2
+    if spec.four_photon:
+        label, lab_delta_f = spec.four_photon
+        lab_df = lab_delta_f(freqs, wa1, wa2)
         if abs(lab_df - df) > 1e-3:
-            notes.append(
-                f"four-photon frequency matching: omega1+omega_a1-omega2-omega_a2 = "
-                f"{lab_df:.6g} GHz vs balanced Delta_F {df:.6g} GHz")
-    if scheme is Scheme.TWO_MODE_SQUEEZE and 1 in freqs and 2 in freqs:
-        lab_df = freqs[2] - freqs[1] - wa1 - wa2
-        if abs(lab_df - df) > 1e-3:
-            notes.append(
-                f"four-photon frequency matching: omega2-omega1-omega_a1-omega_a2 = "
-                f"{lab_df:.6g} GHz vs balanced Delta_F {df:.6g} GHz")
-    if scheme is Scheme.SINGLE_MODE_SQUEEZE:
-        matched = freqs[2] - 2.0 * wa1 - df
-        freqs[1] = matched
-        given = next((d.frequency for d in drives if d.slot == 1), None)
+            notes.append(f"four-photon frequency matching: {label} = "
+                         f"{lab_df:.6g} GHz vs balanced Delta_F {df:.6g} GHz")
+    if spec.matched:
+        slot, solve = spec.matched
+        freqs[slot] = matched = solve(freqs, wa1, wa2, df)
+        given = next(d.frequency for d in drives if d.slot == slot)
         if given is not None and abs(given - matched) > 1e-3:
-            notes.append(f"drive-1 frequency input {given:.6g} GHz vs four-photon "
+            notes.append(f"drive-{slot} frequency input {given:.6g} GHz vs four-photon "
                          f"matched value {matched:.6g} GHz")
-        notes.append(f"drive-1 frequency from four-photon matching: {matched:.6g} GHz")
+        notes.append(f"drive-{slot} frequency from four-photon matching: {matched:.6g} GHz")
 
     # assemble the frame matrices
-    d1, d2, dd = det.delta1, det.delta2, det.delta
     a1 = mode_operator(cutoffs, 1, "annihilate")
     a2 = mode_operator(cutoffs, 2, "annihilate")
-    sig = lambda i, j: _sigma(cutoffs, i, j)
+    ladders = {"a1": a1, "a2": a2, "a2dag": a2.conj().T}
+    coefs = {"rabi1": rabi1, "rabi2": rabi2, "gtilde1": gt1, "gtilde2": gt2}
 
-    if scheme is Scheme.CROSS_KERR:
-        h_i0 = -d1 * sig("b", "b") - d2 * sig("c", "c") - dd * sig("d", "d")
-        v = gt1 * (a1 @ (sig("d", "c") + sig("b", "a"))) \
-            + gt2 * (a2 @ (sig("d", "b") + sig("c", "a")))
-        v_static = v + v.conj().T
-        osc = ()
-    elif scheme is Scheme.BEAM_SPLITTER:
-        h_i0 = -d1 * sig("c", "c") - d2 * sig("b", "b") - dd * sig("d", "d")
-        v = rabi1 * sig("c", "a") + rabi2 * sig("b", "a") + gt1 * (a1 @ sig("d", "c"))
-        v_static = v + v.conj().T
-        osc = ((gt2 * (a2 @ sig("d", "b")), df),) if gt2 else ()
-    elif scheme is Scheme.TWO_MODE_SQUEEZE:
-        h_i0 = -d1 * sig("a", "a") - d2 * sig("d", "d") - dd * sig("c", "c")
-        v = rabi1 * sig("a", "b") + rabi2 * sig("d", "b") + gt1 * (a1 @ sig("d", "c"))
-        v_static = v + v.conj().T
-        # pair-creation branch of the mode-2 coupling; the printed form of
-        # this term is orientation-ambiguous, fixed here so the fourth-order
-        # pair term is chi a1^dag a2^dag e^{+i 2 pi Delta_F t} + h.c.
-        osc = ((gt2 * (a2.conj().T @ sig("a", "c")), df),) if gt2 else ()
-    else:  # SINGLE_MODE_SQUEEZE
-        h_i0 = -d1 * sig("a", "a") - d2 * sig("d", "d") - dd * sig("c", "c")
-        v = rabi2 * sig("d", "b") + gt1 * (a1 @ (sig("d", "c") + sig("a", "b")))
-        v_static = v + v.conj().T
-        osc = ((rabi1 * sig("c", "a"), df),) if rabi1 else ()
+    def term(coef, ladder, pairs):
+        s = functools.reduce(np.add, (transition_operator(cutoffs, *p) for p in pairs))
+        return coefs[coef] * (s if ladder is None else ladders[ladder] @ s)
+
+    _, l1, l2, l3 = spec.levels
+    h_i0 = (-det.delta1 * transition_operator(cutoffs, l1, l1)
+            - det.delta2 * transition_operator(cutoffs, l2, l2)
+            - det.delta * transition_operator(cutoffs, l3, l3))
+    v = functools.reduce(np.add, (term(*t) for t in spec.v_terms))
+    v_static = v + v.conj().T
+    osc = ()
+    if spec.osc_term and coefs[spec.osc_term[0]]:
+        osc = ((term(*spec.osc_term), df),)
 
     frame = SchemeFrame(
-        scheme=scheme, cutoffs=cutoffs, ground_level=_GROUND[scheme],
+        scheme=scheme, cutoffs=cutoffs, ground_level=spec.levels[0],
         h_i0=h_i0, v_static=v_static, osc_terms=osc, detunings=det,
         gtilde1=gt1, gtilde2=gt2, rabi1=rabi1, rabi2=rabi2,
         drive_frequencies=freqs, eigen=es, params=params, notes=tuple(notes))
@@ -445,17 +487,8 @@ def static_frame(frame: SchemeFrame,
 def frame_h0_diagonal(frame: SchemeFrame) -> np.ndarray:
     """Diagonal of the scheme's lab-frame H0 (the interaction-picture
     generator), with the ground-level energy set to zero."""
-    p = frame.params
-    wa1, wa2 = p.omega_a1, p.omega_a2
-    f = frame.drive_frequencies
-    if frame.scheme is Scheme.CROSS_KERR:
-        lvl = {"a": 0.0, "b": wa1, "c": wa2, "d": wa1 + wa2}
-    elif frame.scheme is Scheme.BEAM_SPLITTER:
-        lvl = {"a": 0.0, "c": f[1], "b": f[2], "d": f[1] + wa1}
-    elif frame.scheme is Scheme.TWO_MODE_SQUEEZE:
-        lvl = {"b": 0.0, "a": f[1], "c": f[2] - wa1, "d": f[2]}
-    else:
-        lvl = {"b": 0.0, "a": wa1, "c": f[2] - wa1, "d": f[2]}
+    wa1, wa2 = frame.params.omega_a1, frame.params.omega_a2
+    lvl = frame.spec.h0(wa1, wa2, frame.drive_frequencies)
     cut = frame.cutoffs
     diag = np.empty(cut.dim)
     for i in range(cut.dim):
@@ -498,14 +531,6 @@ def lab_hamiltonian_from_frame(frame: SchemeFrame) -> Hamiltonian:
     return Hamiltonian(static, tuple(osc))
 
 
-# scheme drive slots -> the transition each drive addresses
-_DRIVE_TRANSITION = {
-    (Scheme.BEAM_SPLITTER, 1): ("c", "a"), (Scheme.BEAM_SPLITTER, 2): ("b", "a"),
-    (Scheme.TWO_MODE_SQUEEZE, 1): ("a", "b"), (Scheme.TWO_MODE_SQUEEZE, 2): ("d", "b"),
-    (Scheme.SINGLE_MODE_SQUEEZE, 1): ("c", "a"), (Scheme.SINGLE_MODE_SQUEEZE, 2): ("d", "b"),
-}
-
-
 def lab_drives(frame: SchemeFrame) -> tuple[DriveSpec, ...]:
     """Lab-frame drive specs realizing the frame's effective Rabi rates.
 
@@ -520,9 +545,7 @@ def lab_drives(frame: SchemeFrame) -> tuple[DriveSpec, ...]:
     for slot, rabi in ((1, frame.rabi1), (2, frame.rabi2)):
         if not rabi:
             continue
-        pair = _DRIVE_TRANSITION.get((frame.scheme, slot))
-        if pair is None:
-            continue
+        pair = tuple(frame.spec.drives[slot])
         coefs = {q: table.coefficient(q, pair) for q in (1, 2)}
         qubit = max(coefs, key=lambda q: abs(coefs[q]))
         freq = frame.drive_frequencies.get(slot)
@@ -565,33 +588,6 @@ class DispersiveReport:
             yield f"  [info] unwanted {label}: coupling {g:.4g} GHz, detuning {det:.4g} GHz"
 
 
-# two-photon pathways per scheme: (amp1 source, amp2 source, detuning product)
-def _two_photon_paths(frame: SchemeFrame, nb1: float, nb2: float):
-    d = frame.detunings
-    s1, s2 = math.sqrt(nb1), math.sqrt(nb2)
-    if frame.scheme is Scheme.BEAM_SPLITTER:
-        return [("drive1*mode1 two-photon", frame.rabi1 * frame.gtilde1 * s1, d.delta1 * d.delta),
-                ("drive2*mode2 two-photon", frame.rabi2 * frame.gtilde2 * s2, d.delta2 * d.delta)]
-    if frame.scheme is Scheme.CROSS_KERR:
-        return [("mode1*mode2 two-photon (via b)", frame.gtilde1 * frame.gtilde2 * s1 * s2,
-                 d.delta1 * d.delta),
-                ("mode1*mode2 two-photon (via c)", frame.gtilde1 * frame.gtilde2 * s1 * s2,
-                 d.delta2 * d.delta)]
-    if frame.scheme is Scheme.TWO_MODE_SQUEEZE:
-        return [("drive2*mode1 two-photon", frame.rabi2 * frame.gtilde1 * s1, d.delta2 * d.delta),
-                ("drive1*mode2 two-photon", frame.rabi1 * frame.gtilde2 * s2, d.delta1 * d.delta)]
-    return [("drive2*mode1 two-photon", frame.rabi2 * frame.gtilde1 * s1, d.delta2 * d.delta),
-            ("drive1*mode1 two-photon", frame.rabi1 * frame.gtilde1 * s1, d.delta1 * d.delta)]
-
-
-_RETAINED = {  # ordered: the dispersive report lists entries in this order
-    Scheme.CROSS_KERR: {1: (("a", "b"), ("d", "c")), 2: (("d", "b"), ("a", "c"))},
-    Scheme.BEAM_SPLITTER: {1: (("d", "c"),), 2: (("d", "b"),)},
-    Scheme.TWO_MODE_SQUEEZE: {1: (("d", "c"),), 2: (("a", "c"),)},
-    Scheme.SINGLE_MODE_SQUEEZE: {1: (("a", "b"), ("d", "c")), 2: ()},
-}
-
-
 def dispersive_check(frame: SchemeFrame, photon_scale: tuple[float, float] = (1.0, 1.0),
                      threshold: float = 0.25) -> DispersiveReport:
     """Dimensionless dispersive-condition ratios for every retained process.
@@ -603,6 +599,7 @@ def dispersive_check(frame: SchemeFrame, photon_scale: tuple[float, float] = (1.
     with their couplings and lab detunings for context.
     """
     nb1, nb2 = photon_scale
+    spec = frame.spec
     lvl = frame.level_energies
     entries = []
 
@@ -617,15 +614,20 @@ def dispersive_check(frame: SchemeFrame, photon_scale: tuple[float, float] = (1.
     if frame.rabi2:
         ratio_entry("drive2 single-photon", frame.rabi2, d.delta2)
     # retained mode couplings: detuning read off the H_I0 level splittings
-    for mode, pairs in _RETAINED[frame.scheme].items():
+    for mode, pairs in spec.retained.items():
         g = frame.gtilde1 if mode == 1 else frame.gtilde2
         nb = nb1 if mode == 1 else nb2
         if not g:
             continue
-        for (i, j) in pairs:
+        for i, j in pairs:
             ratio_entry(f"mode{mode} {i}{j} single-photon",
                         g * math.sqrt(nb), lvl[i] - lvl[j])
-    for label, amp, denom in _two_photon_paths(frame, nb1, nb2):
+    # two-photon paths: amplitude product over detuning product delta_k * delta
+    values = {"rabi1": frame.rabi1, "rabi2": frame.rabi2, "gtilde1": frame.gtilde1,
+              "gtilde2": frame.gtilde2, "s1": math.sqrt(nb1), "s2": math.sqrt(nb2)}
+    for label, factors, k in spec.two_photon:
+        amp = math.prod(values[f] for f in factors)
+        denom = (d.delta1, d.delta2)[k - 1] * d.delta
         if amp:
             ratio = math.inf if denom == 0 else abs(amp) / abs(denom)
             entries.append(DispersiveEntry(label, ratio, denom, ratio <= threshold))
@@ -637,7 +639,7 @@ def dispersive_check(frame: SchemeFrame, photon_scale: tuple[float, float] = (1.
         wa = frame.params.omega_a1 if mode == 1 else frame.params.omega_a2
         coefs = table.x1 if mode == 1 else table.x2
         for (i, j), coef in coefs.items():
-            if (i, j) in _RETAINED[frame.scheme][mode]:
+            if i + j in spec.retained[mode]:
                 continue
             e_ij = abs(frame.eigen.transition_energy(i, j))
             unwanted.append((f"mode{mode} {i}{j}", g * abs(coef), abs(wa - e_ij)))

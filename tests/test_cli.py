@@ -13,7 +13,7 @@ import pytest
 
 import fwmsim
 from fwmsim.cli import main
-from fwmsim.config import resolve
+from fwmsim.config import MAX_POINTS, resolve
 from fwmsim.presets import as_config, cross_kerr_point
 
 
@@ -341,8 +341,14 @@ def test_config_circuit_centres_the_search(ck_config, tmp_path, command):
     ("cutoffs", "n_max1", 17, "cutoffs"),
     ("outputs", "dir", 5, "outputs.dir"),
     (None, "seed", -1, "seed"),
+    ("simulation", "points", 10**12, "simulation.points"),
+    ("simulation", "points", MAX_POINTS + 1, "simulation.points"),
+    (None, "sweep", {"variable": "b0", "start": -0.7, "stop": -0.5, "points": 10**12},
+     "sweep.points"),
+    ("optimize", "time_points", 10**12, "optimize.time_points"),
 ], ids=["nan", "inf", "beyond-max-abs", "int-beyond-float", "detuning-2e6",
-        "cutoff-17", "dir-not-string", "negative-seed"])
+        "cutoff-17", "dir-not-string", "negative-seed", "simulation-points-1e12",
+        "simulation-points-above-max", "sweep-points-1e12", "time-points-1e12"])
 def test_out_of_range_config_values_exit_2(ck_config, tmp_path, capsys, section,
                                             key, value, field):
     _, cfg = ck_config
@@ -352,3 +358,15 @@ def test_out_of_range_config_values_exit_2(ck_config, tmp_path, capsys, section,
     p.write_text(json.dumps(cfg))
     assert main(["derive", "--config", str(p), "--out", str(tmp_path)]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_points_at_max_points_accepted(ck_config):
+    _, cfg = ck_config
+    cfg = json.loads(json.dumps(cfg))
+    cfg["simulation"] = {"points": MAX_POINTS}
+    cfg["sweep"] = {"variable": "b0", "start": -0.7, "stop": -0.5, "points": MAX_POINTS}
+    cfg["optimize"] = {"time_points": MAX_POINTS}
+    resolved = resolve(cfg)
+    assert resolved.simulation["points"] == MAX_POINTS
+    assert resolved.sweep["points"] == MAX_POINTS
+    assert resolved.optimize["time_points"] == MAX_POINTS

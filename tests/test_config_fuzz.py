@@ -1,6 +1,7 @@
 """Exit-code contract under mutated configs: ``derive`` on any document built
 from the shipped ``configs/`` by dropping keys or planting wrong types,
-out-of-range or non-finite values returns 0, 2 or 3 and never raises."""
+out-of-range or non-finite values returns 0, 2 or 3 and never raises, and
+every sample count that validation lets through is within ``MAX_POINTS``."""
 
 import contextlib
 import copy
@@ -13,14 +14,21 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from fwmsim.cli import main
+from fwmsim.config import MAX_POINTS, resolve
+from fwmsim.errors import ConfigError
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "configs")
-DOCS = {name: json.load(open(os.path.join(CONFIG_DIR, name)))
+# the shipped configs carry no sample counts; every document gets the
+# simulation, sweep and optimizer counts so that mutations reach them
+COUNTS = {"simulation": {"points": 2001},
+          "sweep": {"variable": "b0", "start": -1.0, "stop": 1.0, "points": 801},
+          "optimize": {"time_points": 801}}
+DOCS = {name: dict(json.load(open(os.path.join(CONFIG_DIR, name))), **COUNTS)
         for name in sorted(os.listdir(CONFIG_DIR)) if name.endswith(".json")}
 
 ODD_NUMBERS = [0, -1, 1, 0.0, -0.0, 1e-300, -1e300, 1e300, 10**6, -10**6, 10**400,
-               math.nan, math.inf, -math.inf]
+               10**12, MAX_POINTS + 1, math.nan, math.inf, -math.inf]
 BAD_VALUES = st.one_of(
     st.sampled_from(ODD_NUMBERS),
     st.floats(allow_nan=True, allow_infinity=True),
@@ -75,3 +83,24 @@ def test_derive_exit_code_contract_under_mutated_configs(doc, tmp_path):
         code = main(["derive", "--config", str(path), "--out", str(tmp_path)])
     event(f"exit {code}")
     assert code in (0, 2, 3), sink.getvalue()
+
+
+COUNT_FIELDS = [("simulation", "points"), ("sweep", "points"), ("optimize", "time_points")]
+COUNT_VALUES = st.one_of(st.sampled_from([0, 1, 2, MAX_POINTS, MAX_POINTS + 1, 10**12]),
+                         st.integers(min_value=-10**15, max_value=10**15))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(doc=mutated_configs(), field=st.sampled_from(COUNT_FIELDS), value=COUNT_VALUES)
+def test_resolved_sample_counts_within_max_points(doc, field, value):
+    section, key = field
+    if isinstance(doc.get(section), dict):
+        doc[section][key] = value
+    try:
+        cfg = resolve(doc)
+    except ConfigError:
+        return
+    counts = [cfg.simulation["points"], cfg.optimize["time_points"]]
+    if cfg.sweep is not None:
+        counts.append(cfg.sweep["points"])
+    assert all(1 <= n <= MAX_POINTS for n in counts), counts

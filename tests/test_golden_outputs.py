@@ -1,0 +1,85 @@
+"""Byte-level pins of the physics numbers.
+
+``derive.json`` of the four shipped configs and the frame matrices of every
+preset operating point are pinned by sha256. A change in the last bit of a
+closed form, a detuning, a dispersive entry, a note or a frame entry breaks
+one of these digests. A change that is meant to move a number must update
+the digest and say why the new value is more correct.
+
+The config hash in each output header covers ``outputs.dir``, so derive is
+run with the same relative ``--out`` from a fresh working directory.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+
+import numpy as np
+import pytest
+
+from fwmsim.cli import main
+from fwmsim.operators import FockCutoffs
+from fwmsim.presets import operating_point
+from fwmsim.schemes import Scheme, build_scheme_frame
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "configs")
+
+DERIVE_SHA256 = {
+    "beam_splitter.json": "a287822e45a0f941f92d42c8c2b68da05c91ee3d5dbdc397ecdf460077c2d5ff",
+    "cross_kerr.json": "3ff260c08b249fe85afd987254d9107167ba22b7b900091164d4b3a777c0f73a",
+    "single_mode_squeeze.json":
+        "3b67637b97571406036fb393aafdbd2f432dd8489aff50e82a1f79a235f292ef",
+    "two_mode_squeeze.json": "91472f4aae7df5bbb40099855e542108438008bf12d556663a5412c38722b3a9",
+}
+
+# per preset scheme at cutoffs (2, 2): h_i0, v_static, and (matrix, frequency)
+# of each oscillating term
+FRAME_SHA256 = {
+    Scheme.BEAM_SPLITTER: (
+        "10b13cf791429829b376f081458a15a9f576e349ce29003a22fbce9d230a9352",
+        "88d5499fb644ae8a00f64d0779348cf77f839991a05ac871619fecb350f4e116",
+        (("79874e559058d31d73481e1ed94ccef39148bc95492fd6fcd5e89865e7822314",
+          -0.0011872653350578338),)),
+    Scheme.CROSS_KERR: (
+        "a24e70b793ac605c2c3438f965f2e1918d2c99ff013ca944ac280545bcde7a56",
+        "66c1b5a8cc0481f91bdb6eab7658e7cc9fe755babe3dd900a1eebe75434984ae",
+        ()),
+    Scheme.TWO_MODE_SQUEEZE: (
+        "ee7e48b33dc50dd4ddb252a350b2bc40c053f26780c2562cf71484b6dda0aa4d",
+        "27543f976f8015b70309e462a60384574532c8b97487c108a839ba181662cc7d",
+        (("42300197b443c683c9d9e6f22c1158675361d2b75d8a9a61643ee3b456472f04",
+          0.010040841250216963),)),
+    Scheme.SINGLE_MODE_SQUEEZE: (
+        "6dc74d71d2cf9cc119dbbf099b2e7c3b760de0f0d68d115103722779e14d60fd",
+        "fd86d601367e0ddc321c75de9b4698c63feb80c0c19a8689a36bef43d9ab6041",
+        (("a5da650361a4fe4e2e0ea13115dd09788ad8e987760e34652ebdfc1117054cb2",
+          0.03762072434996809),)),
+}
+
+
+def _sha(matrix: np.ndarray) -> str:
+    # + 0.0 turns -0.0 into 0.0, so signed zeros do not count
+    return hashlib.sha256(np.ascontiguousarray(matrix + 0.0).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DERIVE_SHA256))
+def test_derive_json_bytes(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["derive", "--config", os.path.join(CONFIG_DIR, name),
+                     "--out", "out"]) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "derive.json").read_bytes()).hexdigest()
+    assert digest == DERIVE_SHA256[name]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_frame_matrix_bytes(scheme):
+    point = operating_point(scheme)
+    frame, _ = build_scheme_frame(point["params"], scheme, point["drives"],
+                                  FockCutoffs(2, 2), detunings=point["detunings"])
+    h_i0, v_static, osc = FRAME_SHA256[scheme]
+    assert _sha(frame.h_i0) == h_i0
+    assert _sha(frame.v_static) == v_static
+    assert tuple((_sha(m), nu) for m, nu in frame.osc_terms) == osc
