@@ -19,6 +19,7 @@ from .errors import DegeneracyError
 from .operators import LEVEL_INDEX, LEVELS
 
 DEGENERACY_TOL = 1e-6  # GHz; below this the mixing angles are ill-defined
+REGIME_RATIO = 10.0    # the factor ">>" stands for in C_sigma_ri >> C_sigma_i >> C_m
 
 
 def _charging_energy_ghz(capacitance_f: float) -> float:
@@ -70,14 +71,14 @@ class CapacitanceSet:
     def c_sigma_r2(self) -> float:
         return self.c_r2 + self.c_g2 + self.c_02
 
-    def regime_ok(self, ratio: float = 10.0) -> bool:
-        """True iff C_sigma_ri >> C_sigma_i >> C_m at the given ratio."""
+    def regime_ok(self) -> bool:
+        """True iff C_sigma_ri >> C_sigma_i >> C_m by at least REGIME_RATIO."""
         big = min(self.c_sigma_r1, self.c_sigma_r2)
         mid = max(self.c_sigma1, self.c_sigma2)
         mid_lo = min(self.c_sigma1, self.c_sigma2)
         if self.c_m == 0:
-            return big >= ratio * mid
-        return big >= ratio * mid and mid_lo >= ratio * self.c_m
+            return big >= REGIME_RATIO * mid
+        return big >= REGIME_RATIO * mid and mid_lo >= REGIME_RATIO * self.c_m
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,8 @@ class DerivedCouplings:
     warnings: tuple[str, ...] = ()
 
 
-def derive_couplings(caps: CapacitanceSet, omega_a1: float, omega_a2: float,
-                     regime_ratio: float = 10.0) -> DerivedCouplings:
+def derive_couplings(caps: CapacitanceSet, omega_a1: float,
+                     omega_a2: float) -> DerivedCouplings:
     """Evaluate the capacitive coupling energy and all qubit-resonator
     couplings (direct and cross-talk) from the circuit capacitances.
 
@@ -104,12 +105,14 @@ def derive_couplings(caps: CapacitanceSet, omega_a1: float, omega_a2: float,
     if omega_a1 <= 0 or omega_a2 <= 0:
         raise ValueError("resonator frequencies must be positive")
     warnings = []
-    if not caps.regime_ok(regime_ratio):
+    if not caps.regime_ok():
         warnings.append(
-            f"capacitance hierarchy violated (need C_sig_r >= {regime_ratio} C_sig "
-            f">= {regime_ratio} C_m); derived couplings are outside their validity range"
+            f"capacitance hierarchy violated (need C_sig_r >= {REGIME_RATIO} C_sig "
+            f">= {REGIME_RATIO} C_m); derived couplings are outside their validity range"
         )
     denom = caps.c_sigma1 * caps.c_sigma2 - caps.c_m**2
+    if not denom > 0:
+        raise ValueError("C_sigma1 C_sigma2 - C_m^2 is not positive in double precision")
     e_mx = caps.c_m * ELEMENTARY_CHARGE**2 / denom / (PLANCK_H * 1e9)
     ec_r1 = _charging_energy_ghz(caps.c_sigma_r1)
     ec_r2 = _charging_energy_ghz(caps.c_sigma_r2)
@@ -230,8 +233,7 @@ class EigenSystem:
         return np.array([self.e_a, self.e_b, self.e_c, self.e_d])
 
 
-def eigensystem(params: CircuitParams,
-                degeneracy_tol: float = DEGENERACY_TOL) -> EigenSystem:
+def eigensystem(params: CircuitParams) -> EigenSystem:
     """Closed-form eigensystem of the coupled-qubit Hamiltonian."""
     ej_sum = params.e_j1 + params.e_j2
     ej_dif = params.e_j1 - params.e_j2
@@ -239,13 +241,13 @@ def eigensystem(params: CircuitParams,
     k_minus = params.e_mx * (1.0 + params.b0)
     e_s_plus = math.sqrt(ej_sum**2 + 4.0 * k_plus**2)
     e_s_minus = math.sqrt(ej_dif**2 + 4.0 * k_minus**2)
-    if e_s_plus < degeneracy_tol:
+    if e_s_plus < DEGENERACY_TOL:
         raise DegeneracyError(
-            f"E_s+ = {e_s_plus:.3e} GHz below {degeneracy_tol:g}; "
+            f"E_s+ = {e_s_plus:.3e} GHz below {DEGENERACY_TOL:g}; "
             "the (|00>,|11>) doublet is degenerate")
-    if e_s_minus < degeneracy_tol:
+    if e_s_minus < DEGENERACY_TOL:
         raise DegeneracyError(
-            f"E_s- = {e_s_minus:.3e} GHz below {degeneracy_tol:g}; "
+            f"E_s- = {e_s_minus:.3e} GHz below {DEGENERACY_TOL:g}; "
             "the (|01>,|10>) doublet is degenerate")
     shift = params.e_mx * params.b0
     sin_p = math.sqrt((e_s_plus + ej_sum) / (2.0 * e_s_plus))

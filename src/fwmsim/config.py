@@ -128,16 +128,20 @@ def _resolve_circuit(doc, path="circuit") -> tuple[CircuitParams, dict]:
     if "capacitances" in doc:
         cap_doc = doc["capacitances"]
         _require_keys(cap_doc, _CAP_KEYS, f"{path}.capacitances")
-        caps = CapacitanceSet(**{k: _number(cap_doc, k, f"{path}.capacitances")
-                                 for k in sorted(_CAP_KEYS)})
+        cap_values = {k: _number(cap_doc, k, f"{path}.capacitances")
+                      for k in sorted(_CAP_KEYS)}
         try:
-            params = CircuitParams.from_capacitances(caps, e_j1, e_j2, b0,
-                                                     omega_a1, omega_a2)
+            params = CircuitParams.from_capacitances(CapacitanceSet(**cap_values), e_j1,
+                                                     e_j2, b0, omega_a1, omega_a2)
         except ValueError as exc:
             raise ConfigError(f"{path}.capacitances", str(exc)) from exc
+        for name in ("e_mx", "g1", "g2", "g2_1", "g2_2", "g3"):
+            if _bounded(getattr(params, name)) is None:
+                raise ConfigError(f"{path}.capacitances",
+                                  f"derived {name} beyond +-{MAX_ABS:g}")
         resolved = {"e_j1": e_j1, "e_j2": e_j2, "b0": b0,
                     "omega_a1": omega_a1, "omega_a2": omega_a2,
-                    "capacitances": {k: _number(cap_doc, k, path) for k in sorted(_CAP_KEYS)},
+                    "capacitances": cap_values,
                     "e_mx": params.e_mx, "g1": params.g1, "g2": params.g2,
                     "g2_1": params.g2_1, "g2_2": params.g2_2, "g3": params.g3}
         return params, resolved

@@ -29,6 +29,8 @@ from .schemes import DriveSpec, SchemeFrame, build_scheme_frame, static_frame
 NORM_TOL = 1e-9
 DEFAULT_POINTS = 2001          # >= 2000 samples per gate time
 STEP_FREQ_FACTOR = 50.0        # integrator step <= 1 / (50 * fastest frequency)
+RAMP_STEPS = 10                # coupling ramp of the cross-Kerr branch tracking
+SCAN_POINTS = 41               # four-photon detuning grid of the pair oracle
 
 
 @dataclass(frozen=True)
@@ -242,32 +244,21 @@ def _rebuild(frame: SchemeFrame, cutoffs: FockCutoffs) -> SchemeFrame:
     return rebuilt
 
 
-def _sector_diagonals(cutoffs: FockCutoffs) -> tuple[np.ndarray, np.ndarray]:
-    """Conserved cross-Kerr excitation numbers N1 = n1 + P_b + P_d and
-    N2 = n2 + P_c + P_d as diagonal integer vectors."""
-    n1 = np.empty(cutoffs.dim, dtype=int)
-    n2 = np.empty(cutoffs.dim, dtype=int)
-    block = cutoffs.dim1 * cutoffs.dim2
-    for i in range(cutoffs.dim):
-        q, rem = divmod(i, block)
-        m1, m2 = divmod(rem, cutoffs.dim2)
-        n1[i] = m1 + (1 if q in (LEVEL_INDEX["b"], LEVEL_INDEX["d"]) else 0)
-        n2[i] = m2 + (1 if q in (LEVEL_INDEX["c"], LEVEL_INDEX["d"]) else 0)
-    return n1, n2
-
-
-def _cross_kerr_oracle(frame: SchemeFrame, ramp_steps: int) -> EffectiveParams:
+def _cross_kerr_oracle(frame: SchemeFrame) -> EffectiveParams:
     cut = frame.cutoffs
     h_full = frame.h_i0 + frame.v_static
     h_base = frame.h_i0
-    num1, num2 = _sector_diagonals(cut)
+    # conserved excitation numbers N1 = n1 + P_b + P_d and N2 = n2 + P_c + P_d
+    level, n1, n2 = cut.basis
+    num1 = n1 + np.isin(level, (LEVEL_INDEX["b"], LEVEL_INDEX["d"]))
+    num2 = n2 + np.isin(level, (LEVEL_INDEX["c"], LEVEL_INDEX["d"]))
     energy = {}
     for s1 in (0, 1):
         for s2 in (0, 1):
             idx = np.where((num1 == s1) & (num2 == s2))[0]
             label = basis_state(cut, frame.ground_level, s1, s2)[idx]
             e, _ = track_branch(h_full[np.ix_(idx, idx)], h_base[np.ix_(idx, idx)],
-                                label, steps=ramp_steps)
+                                label, steps=RAMP_STEPS)
             energy[(s1, s2)] = e
     chi = energy[(1, 1)] - energy[(1, 0)] - energy[(0, 1)] + energy[(0, 0)]
     de1 = energy[(1, 0)] - energy[(0, 0)]
@@ -297,7 +288,7 @@ def _pair_gap(frame: SchemeFrame, mu: float, pair: tuple[np.ndarray, np.ndarray]
     return float(abs(w[k0] - w[k1]))
 
 
-def _pair_oracle(frame: SchemeFrame, scan_points: int) -> EffectiveParams:
+def _pair_oracle(frame: SchemeFrame) -> EffectiveParams:
     cut = frame.cutoffs
     g = frame.ground_level
     n_first, n_second, element = frame.spec.oracle_pair
@@ -306,9 +297,7 @@ def _pair_oracle(frame: SchemeFrame, scan_points: int) -> EffectiveParams:
     if not frame.spec.retained[2]:
         # mode 2 is decoupled here; drop its exactly degenerate copies so
         # eigh cannot mix them arbitrarily
-        block = cut.dim1 * cut.dim2
-        keep = np.array([i for i in range(cut.dim)
-                         if (i % block) % cut.dim2 == 0])
+        keep = np.flatnonzero(cut.basis[2] == 0)
 
     closed = effective_params(frame)
     center = frame.detunings.delta_f
@@ -316,10 +305,10 @@ def _pair_oracle(frame: SchemeFrame, scan_points: int) -> EffectiveParams:
                1.5 * (abs(closed.delta_eps1 or 0.0) + abs(closed.delta_eps2 or 0.0)),
                1e-4)
     for _ in range(4):
-        grid = np.linspace(center - half, center + half, scan_points)
+        grid = np.linspace(center - half, center + half, SCAN_POINTS)
         gaps = np.array([_pair_gap(frame, mu, pair, keep) for mu in grid])
         k = int(np.argmin(gaps))
-        if 0 < k < scan_points - 1:
+        if 0 < k < SCAN_POINTS - 1:
             res = minimize_scalar(lambda m: _pair_gap(frame, m, pair, keep),
                                   bounds=(grid[k - 1], grid[k + 1]), method="bounded",
                                   options={"xatol": max(abs(closed.chi) * 1e-7, 1e-13)})
@@ -334,9 +323,7 @@ def _pair_oracle(frame: SchemeFrame, scan_points: int) -> EffectiveParams:
         f"+-{half:.3g} GHz of the balanced four-photon detuning")
 
 
-def dressed_energy_oracle(frame: SchemeFrame, *, ramp_steps: int = 10,
-                          scan_points: int = 41,
-                          cutoffs: FockCutoffs | None = None) -> EffectiveParams:
+def dressed_energy_oracle(frame: SchemeFrame) -> EffectiveParams:
     """Effective parameters from exact diagonalization, independent of the
     closed forms.
 
@@ -346,9 +333,10 @@ def dressed_energy_oracle(frame: SchemeFrame, *, ramp_steps: int = 10,
     Other schemes: half the minimum avoided-crossing gap of the dressed pair
     ({1,0}/{0,1} for the beam splitter, {0,0}/{1,1} for the two-mode squeeze,
     {0}/{2} with the sqrt(2) matrix element divided out for the single-mode
-    squeeze) while scanning the four-photon detuning.
+    squeeze) while scanning the four-photon detuning over SCAN_POINTS
+    points. Both run at the scheme's own small ``oracle_cutoffs``.
     """
-    work = _rebuild(frame, cutoffs or frame.spec.oracle_cutoffs)
+    work = _rebuild(frame, frame.spec.oracle_cutoffs)
     if work.spec.oracle_pair is None:
-        return _cross_kerr_oracle(work, ramp_steps)
-    return _pair_oracle(work, scan_points)
+        return _cross_kerr_oracle(work)
+    return _pair_oracle(work)

@@ -20,6 +20,7 @@ from .operators import FockCutoffs, destroy
 from .schemes import SPECS, Detunings, Scheme, SchemeFrame
 
 SINGULARITY_TOL = 1e-12
+TRUNCATION_TOL = 1e-6  # largest vacuum-column error of a truncated squeezer
 
 
 def _check_detunings(scheme: Scheme, det: Detunings):
@@ -203,30 +204,24 @@ def _symplectic(spec: IdealOpSpec) -> np.ndarray | None:
     return None  # cross-Kerr is not Bogoliubov-linear
 
 
-def ideal_operation(spec: IdealOpSpec, cutoffs: FockCutoffs,
-                    truncation_tol: float = 1e-6) -> IdealOperation:
+def ideal_operation(spec: IdealOpSpec, cutoffs: FockCutoffs) -> IdealOperation:
     """Build an ideal operation on the two-mode Fock space.
 
     Squeezing unitaries are generated by exponentiating the truncated
     generator; their quality is certified by comparing the vacuum column
-    against a padded-cutoff construction. A figure above ``truncation_tol``
+    against a padded-cutoff construction. A figure above ``TRUNCATION_TOL``
     raises :class:`TruncationError`.
     """
     u = _ideal_unitary(spec, cutoffs)
     trunc = None
     if spec.kind in ("two_mode_squeeze", "single_mode_squeeze"):
         pad = FockCutoffs(cutoffs.n_max1 + 5, cutoffs.n_max2 + 5)
-        u_pad = _ideal_unitary(spec, pad)
-        vac_small = u[:, 0]
-        vac_big = u_pad[:, 0]
-        embedded = np.zeros(pad.dim1 * pad.dim2, dtype=complex)
-        for n1 in range(cutoffs.dim1):
-            for n2 in range(cutoffs.dim2):
-                embedded[n1 * pad.dim2 + n2] = vac_small[n1 * cutoffs.dim2 + n2]
-        trunc = float(np.linalg.norm(vac_big - embedded))
-        if trunc > truncation_tol:
+        embedded = np.zeros((pad.dim1, pad.dim2), dtype=complex)
+        embedded[:cutoffs.dim1, :cutoffs.dim2] = u[:, 0].reshape(cutoffs.dim1, cutoffs.dim2)
+        trunc = float(np.linalg.norm(_ideal_unitary(spec, pad)[:, 0] - embedded.ravel()))
+        if trunc > TRUNCATION_TOL:
             raise TruncationError(
                 f"squeeze amplitude {spec.angle:g} needs a larger Fock cutoff: "
-                f"vacuum-column truncation error {trunc:.2e} > {truncation_tol:g}")
+                f"vacuum-column truncation error {trunc:.2e} > {TRUNCATION_TOL:g}")
     return IdealOperation(spec=spec, unitary=u, symplectic=_symplectic(spec),
                           truncation_error=trunc)

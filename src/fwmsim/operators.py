@@ -4,13 +4,17 @@ Index convention, used by every array and file format in this package:
 
     index = level * (n_max1 + 1) * (n_max2 + 1) + n1 * (n_max2 + 1) + n2
 
-with the four system levels ordered ``a=0, b=1, c=2, d=3``. States are 1-D
-complex ``numpy`` arrays, operators are square complex arrays. All functions
-here are pure; nothing mutates its inputs.
+with the four system levels ordered ``a=0, b=1, c=2, d=3``. The inverse map
+is one cached table, :attr:`FockCutoffs.basis`, whose column i is the
+(level, n1, n2) of index i; code that needs those per index reads them off
+it as array expressions. States are 1-D complex ``numpy`` arrays, operators
+are square complex arrays. All functions here are pure; nothing mutates its
+inputs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +48,14 @@ class FockCutoffs:
     def dim(self) -> int:
         """Total tensor-space dimension, 4 * dim1 * dim2."""
         return 4 * self.dim1 * self.dim2
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        """Read-only (3, dim) integer table; column i is the (level, n1, n2)
+        of basis index i."""
+        table = np.indices((4, self.dim1, self.dim2)).reshape(3, -1)
+        table.setflags(write=False)
+        return table
 
     def index(self, level: str | int, n1: int, n2: int) -> int:
         q = LEVEL_INDEX[level] if isinstance(level, str) else level

@@ -28,7 +28,7 @@ from .presets import cross_kerr_point
 from .schemes import build_full_hamiltonian
 
 DEFAULT_GATE_TIME_BOUNDS = (60.0, 120.0)  # ns; keeps the search on fast gates
-DEFAULT_TIME_WINDOW = 0.02                # +-2% scan catches leakage revivals
+TIME_WINDOW = 0.02                        # +-2% scan catches leakage revivals
 DEFAULT_TIME_POINTS = 801
 _SCAN_BLOCK = 256                         # scan times per phase table (bounds memory)
 
@@ -64,7 +64,6 @@ def _unit_phases(rates: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 def controlled_phase_fidelity(params: CircuitParams, cutoffs: FockCutoffs, *,
                               gate_time_bounds: tuple = DEFAULT_GATE_TIME_BOUNDS,
-                              time_window: float = DEFAULT_TIME_WINDOW,
                               time_points: int = DEFAULT_TIME_POINTS) -> GateEvaluation | None:
     """Fidelity of the pi controlled-phase gate under the full Hamiltonian.
 
@@ -100,8 +99,8 @@ def controlled_phase_fidelity(params: CircuitParams, cutoffs: FockCutoffs, *,
     # the target lives on the computational rows only, so the overlaps at
     # a block of scan times are one (4 x dim) @ (dim x times) product
     rows = u[comp, :] * c0
-    ts = np.linspace((1.0 - time_window) * t_gate,
-                     (1.0 + time_window) * t_gate, time_points)
+    ts = np.linspace((1.0 - TIME_WINDOW) * t_gate,
+                     (1.0 + TIME_WINDOW) * t_gate, time_points)
     f = np.concatenate([
         np.abs(np.sum(0.5 * _unit_phases(2.0 * np.pi * energies, block)
                       * (rows @ _unit_phases(-2.0 * np.pi * w, block)), axis=0)) ** 2

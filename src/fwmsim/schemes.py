@@ -30,6 +30,8 @@ from .hamiltonian import Hamiltonian
 from .operators import (FockCutoffs, LEVELS, LEVEL_INDEX, destroy, embed_level_matrix,
                         mode_operator, transition_operator)
 
+DISPERSIVE_THRESHOLD = 0.25  # largest amplitude/detuning ratio the report passes
+
 
 class Scheme(enum.Enum):
     BEAM_SPLITTER = "bm"
@@ -83,8 +85,8 @@ SPECS: dict[Scheme, SchemeSpec] = {
                  ("gtilde1", "a1", ("dc",))),
         osc_term=("gtilde2", "a2", ("db",)),
         retained={1: ("dc",), 2: ("db",)},
-        two_photon=(("drive1*mode1 two-photon", ("rabi1", "gtilde1", "s1"), 1),
-                    ("drive2*mode2 two-photon", ("rabi2", "gtilde2", "s2"), 2)),
+        two_photon=(("drive1*mode1 two-photon", ("rabi1", "gtilde1"), 1),
+                    ("drive2*mode2 two-photon", ("rabi2", "gtilde2"), 2)),
         shifts=lambda d1, d2, dd, g1, g2, r1, r2: (r1**2 * g1**2 / (d1**2 * dd),
                                                    r2**2 * g2**2 / (d2**2 * dd)),
         chi=lambda d1, d2, dd, g1, g2, r1, r2: r1 * r2 * g1 * g2 / (d1 * d2 * dd),
@@ -100,8 +102,8 @@ SPECS: dict[Scheme, SchemeSpec] = {
         v_terms=(("gtilde1", "a1", ("dc", "ba")), ("gtilde2", "a2", ("db", "ca"))),
         osc_term=None,
         retained={1: ("ab", "dc"), 2: ("db", "ac")},
-        two_photon=(("mode1*mode2 two-photon (via b)", ("gtilde1", "gtilde2", "s1", "s2"), 1),
-                    ("mode1*mode2 two-photon (via c)", ("gtilde1", "gtilde2", "s1", "s2"), 2)),
+        two_photon=(("mode1*mode2 two-photon (via b)", ("gtilde1", "gtilde2"), 1),
+                    ("mode1*mode2 two-photon (via c)", ("gtilde1", "gtilde2"), 2)),
         shifts=lambda d1, d2, dd, g1, g2, r1, r2: (g1**2 / d1, g2**2 / d2),
         chi=lambda d1, d2, dd, g1, g2, r1, r2:
             (1.0 / d1 + 1.0 / d2) ** 2 * (g1**2 * g2**2 / dd),
@@ -118,8 +120,8 @@ SPECS: dict[Scheme, SchemeSpec] = {
         # pair term is chi a1^dag a2^dag e^{+i 2 pi Delta_F t} + h.c.
         osc_term=("gtilde2", "a2dag", ("ac",)),
         retained={1: ("dc",), 2: ("ac",)},
-        two_photon=(("drive2*mode1 two-photon", ("rabi2", "gtilde1", "s1"), 2),
-                    ("drive1*mode2 two-photon", ("rabi1", "gtilde2", "s2"), 1)),
+        two_photon=(("drive2*mode1 two-photon", ("rabi2", "gtilde1"), 2),
+                    ("drive1*mode2 two-photon", ("rabi1", "gtilde2"), 1)),
         # the opposite-side drive dresses each mode's shift
         shifts=lambda d1, d2, dd, g1, g2, r1, r2: (r2**2 * g1**2 / (d2**2 * dd),
                                                    r1**2 * g2**2 / (d1**2 * dd)),
@@ -136,8 +138,8 @@ SPECS: dict[Scheme, SchemeSpec] = {
         v_terms=(("rabi2", None, ("db",)), ("gtilde1", "a1", ("dc", "ab"))),
         osc_term=("rabi1", None, ("ca",)),
         retained={1: ("ab", "dc"), 2: ()},  # mode 2 is decoupled in this frame
-        two_photon=(("drive2*mode1 two-photon", ("rabi2", "gtilde1", "s1"), 2),
-                    ("drive1*mode1 two-photon", ("rabi1", "gtilde1", "s1"), 1)),
+        two_photon=(("drive2*mode1 two-photon", ("rabi2", "gtilde1"), 2),
+                    ("drive1*mode1 two-photon", ("rabi1", "gtilde1"), 1)),
         shifts=lambda d1, d2, dd, g1, g2, r1, r2: (
             (dd / d1 + r1**2 / d1**2 + r2**2 / d2**2) * (g1**2 / dd), None),
         chi=lambda d1, d2, dd, g1, g2, r1, r2: r1 * r2 * g1**2 / (d1 * d2 * dd),
@@ -215,6 +217,11 @@ class SchemeFrame:
     @property
     def spec(self) -> SchemeSpec:
         return SPECS[self.scheme]
+
+    @functools.cached_property
+    def corotating_system(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row system of :func:`static_frame`, built once per frame."""
+        return _corotating_system(self)
 
     @property
     def level_energies(self) -> dict:
@@ -412,11 +419,44 @@ def build_full_hamiltonian(params: CircuitParams,
     return Hamiltonian(h, tuple(osc))
 
 
-def _index_parts(cutoffs: FockCutoffs, idx: int) -> tuple[int, int, int]:
-    block = cutoffs.dim1 * cutoffs.dim2
-    q, rem = divmod(idx, block)
-    n1, n2 = divmod(rem, cutoffs.dim2)
-    return q, n1, n2
+def _entry_rows(matrix: np.ndarray, cutoffs: FockCutoffs) -> np.ndarray:
+    """One integer row per nonzero entry (r, c), in np.nonzero order: the
+    coefficients of (gamma_a..gamma_d, eta_1, eta_2) in the frequency shift
+    the co-rotating frame gives that entry."""
+    level, n1, n2 = cutoffs.basis
+    r, c = np.nonzero(matrix)
+    one_hot = np.eye(4, dtype=int)
+    return np.column_stack((one_hot[level[r]] - one_hot[level[c]],
+                            n1[r] - n1[c], n2[r] - n2[c]))
+
+
+def _first_of_class(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The first row of each distinct key, in order of first appearance."""
+    _, first = np.unique(keys, axis=0, return_index=True)
+    return rows[np.sort(first)]
+
+
+def _corotating_system(frame: SchemeFrame) -> tuple[np.ndarray, np.ndarray]:
+    """Row system of :func:`static_frame`, which depends on the frame's
+    sparsity pattern only.
+
+    Returns read-only (A, term). In order of first appearance, A holds one
+    row per class of off-diagonal static entries (classes equal up to
+    sign), then each distinct row of each oscillating term, then the gauge
+    row gamma_ground = 0. ``term[i]`` is 0 for a static row and k + 1 for a
+    row that must cancel the frequency of oscillating term k.
+    """
+    static = _entry_rows(frame.v_static - np.diag(np.diag(frame.v_static)), frame.cutoffs)
+    lead = static[np.arange(len(static)), np.argmax(static != 0, axis=1)]
+    blocks = [_first_of_class(static, static * np.where(lead < 0, -1, 1)[:, None])]
+    for m, _ in frame.osc_terms:
+        rows = _entry_rows(m, frame.cutoffs)
+        blocks.append(_first_of_class(rows, rows))
+    a = np.vstack(blocks + [np.eye(6)[[LEVEL_INDEX[frame.ground_level]]]])
+    term = np.concatenate([np.full(len(b), k) for k, b in enumerate(blocks)])
+    a.setflags(write=False)
+    term.setflags(write=False)
+    return a, term
 
 
 def static_frame(frame: SchemeFrame,
@@ -428,56 +468,23 @@ def static_frame(frame: SchemeFrame,
     (H_static, G) with H(t) = e^{-i2pi G t} (H_static + G) e^{+i2pi G t}
     rearranged so that propagation factorizes as
     psi(t) = e^{-i2pi G t} e^{-i2pi H_static t} psi(0). G is diagonal.
+    The row system is the frame's cached ``corotating_system``; only the
+    right-hand side depends on ``osc_freqs``.
 
     Raises :class:`FrameError` if no such frame exists.
     """
-    cut = frame.cutoffs
     freqs = tuple(nu for _, nu in frame.osc_terms) if osc_freqs is None else tuple(osc_freqs)
     if len(freqs) != len(frame.osc_terms):
         raise ValueError("osc_freqs must match the frame's oscillating terms")
-
-    rows, rhs, seen = [], [], set()
-
-    def add_entries(matrix, nu):
-        for r, c in zip(*np.nonzero(matrix)):
-            qr, m1r, m2r = _index_parts(cut, int(r))
-            qc, m1c, m2c = _index_parts(cut, int(c))
-            coeff = np.zeros(6)
-            coeff[qr] += 1.0
-            coeff[qc] -= 1.0
-            coeff[4] = m1r - m1c
-            coeff[5] = m2r - m2c
-            key = (tuple(coeff), round(nu, 12))
-            negkey = (tuple(-coeff), round(-nu, 12))
-            if key in seen or negkey in seen:
-                continue
-            seen.add(key)
-            rows.append(coeff)
-            rhs.append(-nu)
-
-    off_static = frame.v_static - np.diag(np.diag(frame.v_static))
-    add_entries(off_static, 0.0)
-    for (m, _), nu in zip(frame.osc_terms, freqs):
-        add_entries(m, nu)
-    # gauge: ground level shift is zero
-    gauge = np.zeros(6)
-    gauge[LEVEL_INDEX[frame.ground_level]] = 1.0
-    rows.append(gauge)
-    rhs.append(0.0)
-
-    a = np.array(rows)
-    b = np.array(rhs)
+    a, term = frame.corotating_system
+    b = np.append(-np.append(0.0, freqs)[term], 0.0)
     sol, *_ = np.linalg.lstsq(a, b, rcond=None)
     if np.max(np.abs(a @ sol - b)) > 1e-9:
         raise FrameError(
             f"no static co-rotating frame exists for scheme {frame.scheme.value} "
             "with these oscillation frequencies")
-    gamma, eta1, eta2 = sol[:4], sol[4], sol[5]
-
-    g_diag = np.empty(cut.dim)
-    for i in range(cut.dim):
-        q, n1, n2 = _index_parts(cut, i)
-        g_diag[i] = gamma[q] + eta1 * n1 + eta2 * n2
+    level, n1, n2 = frame.cutoffs.basis
+    g_diag = sol[:4][level] + sol[4] * n1 + sol[5] * n2
     h_static = frame.h_i0 + frame.v_static - np.diag(g_diag).astype(complex)
     for m, _ in frame.osc_terms:
         h_static = h_static + m + m.conj().T
@@ -489,12 +496,8 @@ def frame_h0_diagonal(frame: SchemeFrame) -> np.ndarray:
     generator), with the ground-level energy set to zero."""
     wa1, wa2 = frame.params.omega_a1, frame.params.omega_a2
     lvl = frame.spec.h0(wa1, wa2, frame.drive_frequencies)
-    cut = frame.cutoffs
-    diag = np.empty(cut.dim)
-    for i in range(cut.dim):
-        q, n1, n2 = _index_parts(cut, i)
-        diag[i] = lvl[LEVELS[q]] + n1 * wa1 + n2 * wa2
-    return diag
+    level, n1, n2 = frame.cutoffs.basis
+    return np.array([lvl[name] for name in LEVELS])[level] + n1 * wa1 + n2 * wa2
 
 
 def lab_hamiltonian_from_frame(frame: SchemeFrame) -> Hamiltonian:
@@ -588,17 +591,16 @@ class DispersiveReport:
             yield f"  [info] unwanted {label}: coupling {g:.4g} GHz, detuning {det:.4g} GHz"
 
 
-def dispersive_check(frame: SchemeFrame, photon_scale: tuple[float, float] = (1.0, 1.0),
-                     threshold: float = 0.25) -> DispersiveReport:
-    """Dimensionless dispersive-condition ratios for every retained process.
+def dispersive_check(frame: SchemeFrame) -> DispersiveReport:
+    """Dimensionless dispersive-condition ratios for every retained process,
+    at one photon per mode.
 
-    Emits rabi/|detuning| per drive, gtilde*sqrt(n)/|detuning| per retained
-    mode coupling, and amp1*amp2*sqrt(n)/|Delta*delta| per two-photon path;
-    each is flagged above ``threshold``. Zero detunings yield infinite
+    Emits rabi/|detuning| per drive, gtilde/|detuning| per retained mode
+    coupling, and amp1*amp2/|Delta*delta| per two-photon path; each is
+    flagged above ``DISPERSIVE_THRESHOLD``. Zero detunings yield infinite
     ratios (flagged), never an exception. Unwanted transitions are listed
     with their couplings and lab detunings for context.
     """
-    nb1, nb2 = photon_scale
     spec = frame.spec
     lvl = frame.level_energies
     entries = []
@@ -606,7 +608,7 @@ def dispersive_check(frame: SchemeFrame, photon_scale: tuple[float, float] = (1.
     def ratio_entry(label, amp, detuning):
         det = abs(detuning)
         ratio = math.inf if det == 0 else abs(amp) / det
-        entries.append(DispersiveEntry(label, ratio, detuning, ratio <= threshold))
+        entries.append(DispersiveEntry(label, ratio, detuning, ratio <= DISPERSIVE_THRESHOLD))
 
     d = frame.detunings
     if frame.rabi1:
@@ -616,21 +618,18 @@ def dispersive_check(frame: SchemeFrame, photon_scale: tuple[float, float] = (1.
     # retained mode couplings: detuning read off the H_I0 level splittings
     for mode, pairs in spec.retained.items():
         g = frame.gtilde1 if mode == 1 else frame.gtilde2
-        nb = nb1 if mode == 1 else nb2
         if not g:
             continue
         for i, j in pairs:
-            ratio_entry(f"mode{mode} {i}{j} single-photon",
-                        g * math.sqrt(nb), lvl[i] - lvl[j])
+            ratio_entry(f"mode{mode} {i}{j} single-photon", g, lvl[i] - lvl[j])
     # two-photon paths: amplitude product over detuning product delta_k * delta
     values = {"rabi1": frame.rabi1, "rabi2": frame.rabi2, "gtilde1": frame.gtilde1,
-              "gtilde2": frame.gtilde2, "s1": math.sqrt(nb1), "s2": math.sqrt(nb2)}
+              "gtilde2": frame.gtilde2}
     for label, factors, k in spec.two_photon:
         amp = math.prod(values[f] for f in factors)
         denom = (d.delta1, d.delta2)[k - 1] * d.delta
         if amp:
-            ratio = math.inf if denom == 0 else abs(amp) / abs(denom)
-            entries.append(DispersiveEntry(label, ratio, denom, ratio <= threshold))
+            ratio_entry(label, amp, denom)
 
     table = transition_table(frame.eigen)
     unwanted = []
@@ -643,4 +642,4 @@ def dispersive_check(frame: SchemeFrame, photon_scale: tuple[float, float] = (1.
                 continue
             e_ij = abs(frame.eigen.transition_energy(i, j))
             unwanted.append((f"mode{mode} {i}{j}", g * abs(coef), abs(wa - e_ij)))
-    return DispersiveReport(tuple(entries), tuple(unwanted), threshold)
+    return DispersiveReport(tuple(entries), tuple(unwanted), DISPERSIVE_THRESHOLD)

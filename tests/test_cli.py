@@ -246,6 +246,32 @@ def test_capacitance_form_config(tmp_path):
     assert out["resolved_config"]["circuit"]["e_mx"] > 0
 
 
+TINY_CAPS = dict.fromkeys(("c_j1", "c_j2", "c_g1", "c_g2", "c_m"), 1e-150)
+
+
+@pytest.mark.parametrize("bad", [{"c_j1": 0.0}, {"c_r2": -1e-15}, {"c_m": -1e-17},
+                                 {"c_m": 1e6}, TINY_CAPS],
+                         ids=["zero", "negative", "negative-c_m", "singular", "huge-e_mx"])
+def test_invalid_capacitance_exits_2_without_traceback(tmp_path, bad):
+    cfg = as_config(cross_kerr_point())
+    cfg["circuit"] = {
+        "e_j1": 8.45, "e_j2": 13.95, "b0": -0.61, "omega_a1": 10.0, "omega_a2": 16.0,
+        "capacitances": {"c_j1": 4e-16, "c_j2": 5e-16, "c_g1": 6e-17,
+                         "c_g2": 7e-17, "c_m": 2e-17, "c_r1": 9e-15,
+                         "c_r2": 1.1e-14, "c_01": 4e-16, "c_02": 5e-16, **bad},
+    }
+    p = tmp_path / "badcaps.json"
+    p.write_text(json.dumps(cfg))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(fwmsim.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "fwmsim.cli", "derive", "--config",
+                           str(p), "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "circuit.capacitances" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_single_point_b0_sweep_exits_2_without_traceback(ck_config, tmp_path):
     _, cfg = ck_config
     cfg = json.loads(json.dumps(cfg))

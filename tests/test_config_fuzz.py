@@ -1,7 +1,8 @@
 """Exit-code contract under mutated configs: ``derive`` on any document built
-from the shipped ``configs/`` by dropping keys or planting wrong types,
-out-of-range or non-finite values returns 0, 2 or 3 and never raises, and
-every sample count that validation lets through is within ``MAX_POINTS``."""
+from the shipped ``configs/`` (and one capacitance-form circuit) by dropping
+keys or planting wrong types, out-of-range or non-finite values returns 0, 2
+or 3 and never raises, and every sample count that validation lets through
+is within ``MAX_POINTS``."""
 
 import contextlib
 import copy
@@ -26,6 +27,12 @@ COUNTS = {"simulation": {"points": 2001},
           "optimize": {"time_points": 801}}
 DOCS = {name: dict(json.load(open(os.path.join(CONFIG_DIR, name))), **COUNTS)
         for name in sorted(os.listdir(CONFIG_DIR)) if name.endswith(".json")}
+# no shipped config uses the capacitance form of the circuit section
+DOCS["capacitances"] = dict(DOCS["cross_kerr.json"], circuit={
+    "e_j1": 8.45, "e_j2": 13.95, "b0": -0.61, "omega_a1": 10.0, "omega_a2": 16.0,
+    "capacitances": {"c_j1": 4e-16, "c_j2": 5e-16, "c_g1": 6e-17, "c_g2": 7e-17,
+                     "c_m": 2e-17, "c_r1": 9e-15, "c_r2": 1.1e-14,
+                     "c_01": 4e-16, "c_02": 5e-16}})
 
 ODD_NUMBERS = [0, -1, 1, 0.0, -0.0, 1e-300, -1e300, 1e300, 10**6, -10**6, 10**400,
                10**12, MAX_POINTS + 1, math.nan, math.inf, -math.inf]

@@ -12,7 +12,7 @@ import pytest
 from scipy.linalg import expm
 
 import fwmsim
-from fwmsim import dynamics
+from fwmsim import dynamics, schemes
 from fwmsim.dynamics import (STEP_FREQ_FACTOR, dressed_energy_oracle, gate_fidelity,
                              propagate, propagate_frame, track_branch)
 from fwmsim.effective import effective_params
@@ -260,6 +260,26 @@ def test_oracle_zero_couplings_exactly_zero():
     oracle = dressed_energy_oracle(frame)
     assert oracle.chi == 0.0
     assert oracle.delta_eps1 == 0.0 and oracle.delta_eps2 == 0.0
+
+
+@pytest.mark.parametrize("scheme", [Scheme.BEAM_SPLITTER, Scheme.TWO_MODE_SQUEEZE,
+                                    Scheme.SINGLE_MODE_SQUEEZE], ids=lambda s: s.value)
+def test_pair_oracle_builds_frame_system_once(scheme, monkeypatch):
+    # every scan point solves the co-rotating frame, but the row system is
+    # the rebuilt frame's, built once
+    built, solves = [], []
+    real_system, real_solve = schemes._corotating_system, dynamics.static_frame
+    monkeypatch.setattr(schemes, "_corotating_system",
+                        lambda frame: built.append(frame) or real_system(frame))
+    monkeypatch.setattr(dynamics, "static_frame",
+                        lambda frame, osc_freqs: solves.append(frame) or
+                        real_solve(frame, osc_freqs))
+    pt = operating_point(scheme)
+    frame, _ = build_scheme_frame(pt["params"], scheme, pt["drives"], CUT,
+                                  detunings=pt["detunings"])
+    dressed_energy_oracle(frame)
+    assert len(solves) > dynamics.SCAN_POINTS
+    assert len(built) == 1 and all(f is built[0] for f in solves)
 
 
 def test_oracle_fourth_order_scaling():

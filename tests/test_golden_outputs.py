@@ -1,7 +1,8 @@
 """Byte-level pins of the physics numbers.
 
-``derive.json`` of the four shipped configs and the frame matrices of every
-preset operating point are pinned by sha256. A change in the last bit of a
+``derive.json`` of the four shipped configs, with and without the
+dressed-energy oracle, and the frame matrices of every preset operating
+point are pinned by sha256. A change in the last bit of a
 closed form, a detuning, a dispersive entry, a note or a frame entry breaks
 one of these digests. A change that is meant to move a number must update
 the digest and say why the new value is more correct.
@@ -34,6 +35,15 @@ DERIVE_SHA256 = {
     "two_mode_squeeze.json": "91472f4aae7df5bbb40099855e542108438008bf12d556663a5412c38722b3a9",
 }
 
+# derive --oracle adds the dressed-energy cross-check to derive.json
+ORACLE_SHA256 = {
+    "beam_splitter.json": "4ab187a17758756d5f99f38138009e33fcb18532ecd729b7dd3f8fdb8759aa6b",
+    "cross_kerr.json": "e96b1f2a4b2f9bdb026e12c7126f1cd56010bc7e29914f8efe4bfd768ca4bef7",
+    "single_mode_squeeze.json":
+        "b3f783f6ce5b0c73cac374a0a8eaa5293904dc77113348e9a9289010e9ae96ab",
+    "two_mode_squeeze.json": "f55c9aff459bb0b0316271451acf022c08352411cf4d39ed13f1fa216c18e715",
+}
+
 # per preset scheme at cutoffs (2, 2): h_i0, v_static, and (matrix, frequency)
 # of each oscillating term
 FRAME_SHA256 = {
@@ -64,14 +74,22 @@ def _sha(matrix: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(matrix + 0.0).tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(DERIVE_SHA256))
-def test_derive_json_bytes(name, tmp_path, monkeypatch):
+def _derive_digest(name, tmp_path, monkeypatch, *flags):
     monkeypatch.chdir(tmp_path)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["derive", "--config", os.path.join(CONFIG_DIR, name),
-                     "--out", "out"]) == 0
-    digest = hashlib.sha256((tmp_path / "out" / "derive.json").read_bytes()).hexdigest()
-    assert digest == DERIVE_SHA256[name]
+                     "--out", "out", *flags]) == 0
+    return hashlib.sha256((tmp_path / "out" / "derive.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DERIVE_SHA256))
+def test_derive_json_bytes(name, tmp_path, monkeypatch):
+    assert _derive_digest(name, tmp_path, monkeypatch) == DERIVE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SHA256))
+def test_derive_oracle_json_bytes(name, tmp_path, monkeypatch):
+    assert _derive_digest(name, tmp_path, monkeypatch, "--oracle") == ORACLE_SHA256[name]
 
 
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)

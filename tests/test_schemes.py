@@ -231,6 +231,80 @@ def test_static_frame_infeasible_raises():
         static_frame(doubled)
 
 
+def _static_frame_per_entry(frame, osc_freqs=None):
+    """The per-entry construction the vectorised frame system replaced: one
+    row per nonzero matrix entry, static rows deduplicated up to sign,
+    oscillating rows by (row, rounded frequency)."""
+    cut = frame.cutoffs
+    block = cut.dim1 * cut.dim2
+
+    def parts(idx):
+        q, rem = divmod(idx, block)
+        return (q, *divmod(rem, cut.dim2))
+
+    freqs = tuple(nu for _, nu in frame.osc_terms) if osc_freqs is None else tuple(osc_freqs)
+    rows, rhs, seen = [], [], set()
+
+    def add_entries(matrix, nu):
+        for r, c in zip(*np.nonzero(matrix)):
+            qr, m1r, m2r = parts(int(r))
+            qc, m1c, m2c = parts(int(c))
+            coeff = np.zeros(6)
+            coeff[qr] += 1.0
+            coeff[qc] -= 1.0
+            coeff[4] = m1r - m1c
+            coeff[5] = m2r - m2c
+            key = (tuple(coeff), round(nu, 12))
+            negkey = (tuple(-coeff), round(-nu, 12))
+            if key in seen or negkey in seen:
+                continue
+            seen.add(key)
+            rows.append(coeff)
+            rhs.append(-nu)
+
+    add_entries(frame.v_static - np.diag(np.diag(frame.v_static)), 0.0)
+    for (m, _), nu in zip(frame.osc_terms, freqs):
+        add_entries(m, nu)
+    gauge = np.zeros(6)
+    gauge["abcd".index(frame.ground_level)] = 1.0
+    rows.append(gauge)
+    rhs.append(0.0)
+    a, b = np.array(rows), np.array(rhs)
+    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+    assert np.max(np.abs(a @ sol - b)) <= 1e-9
+    g_diag = np.empty(cut.dim)
+    for i in range(cut.dim):
+        q, n1, n2 = parts(i)
+        g_diag[i] = sol[q] + sol[4] * n1 + sol[5] * n2
+    h_static = frame.h_i0 + frame.v_static - np.diag(g_diag).astype(complex)
+    for m, _ in frame.osc_terms:
+        h_static = h_static + m + m.conj().T
+    return h_static, g_diag
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.value)
+@pytest.mark.parametrize("n_max", [(1, 1), (2, 1), (3, 3), (4, 2)])
+def test_static_frame_matches_per_entry_construction(scheme, n_max):
+    frame, _ = _frame_for(scheme, FockCutoffs(*n_max))
+    scan = [None]
+    if frame.osc_terms:
+        nu = frame.osc_terms[0][1]
+        scan += [(mu,) for mu in (0.0, 1e-13, -1e-13, nu - 0.01, nu, nu + 0.037, -0.2)]
+    for osc_freqs in scan:
+        h_static, g_diag = static_frame(frame, osc_freqs)
+        h_ref, g_ref = _static_frame_per_entry(frame, osc_freqs)
+        assert np.array_equal(h_static, h_ref) and np.array_equal(g_diag, g_ref), osc_freqs
+
+
+@pytest.mark.parametrize("n_max", [(1, 1), (2, 1), (3, 3), (4, 2)])
+def test_basis_table_round_trips_through_index(n_max):
+    cut = FockCutoffs(*n_max)
+    level, n1, n2 = cut.basis
+    assert level.shape == (cut.dim,) and not cut.basis.flags.writeable
+    assert [cut.index(*map(int, col)) for col in zip(level, n1, n2)] == list(range(cut.dim))
+    assert cut.basis is cut.basis
+
+
 def test_cross_kerr_lab_frame_equivalence_full_gate():
     # exact retained-term lab model: F(t) U_frame(t) == U_lab(t) at all times
     from fwmsim.effective import effective_params
@@ -282,7 +356,7 @@ def test_lab_drives_mapping():
 
 def test_dispersive_check_cross_kerr_point():
     frame, _ = _frame_for(Scheme.CROSS_KERR)
-    report = dispersive_check(frame, photon_scale=(1.0, 1.0))
+    report = dispersive_check(frame)
     assert report.passed
     by_label = {e.label: e for e in report.entries}
     entry = by_label["mode1 ab single-photon"]
