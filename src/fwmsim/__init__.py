@@ -14,8 +14,7 @@ ns, phases accumulate as 2*pi*nu*t.
 __version__ = "0.1.0"
 
 from .circuit import (CapacitanceSet, CircuitParams, EigenSystem, TransitionTable,
-                      derive_couplings, eigensystem, energy_sweep, qubit_hamiltonian,
-                      transition_table)
+                      derive_couplings, eigensystem, energy_sweep, transition_table)
 from .dynamics import (FidelityResult, Trajectory, dressed_energy_oracle,
                        gate_fidelity, propagate, propagate_frame)
 from .effective import (EffectiveParams, IdealOperation, IdealOpSpec,
@@ -33,8 +32,7 @@ from .schemes import (Detunings, DriveSpec, Scheme, SchemeFrame,
 __all__ = [
     "__version__",
     "CapacitanceSet", "CircuitParams", "EigenSystem", "TransitionTable",
-    "derive_couplings", "eigensystem", "energy_sweep", "qubit_hamiltonian",
-    "transition_table",
+    "derive_couplings", "eigensystem", "energy_sweep", "transition_table",
     "FidelityResult", "Trajectory", "dressed_energy_oracle", "gate_fidelity",
     "propagate", "propagate_frame",
     "EffectiveParams", "IdealOperation", "IdealOpSpec",

@@ -169,24 +169,6 @@ class CircuitParams:
                    g3=d.g3 if include_crosstalk else 0.0)
 
 
-def qubit_hamiltonian(params: CircuitParams) -> np.ndarray:
-    """4x4 coupled-qubit Hamiltonian in the product basis (|00>,|01>,|10>,|11>).
-
-    |0_i> is the lower sigma_z eigenstate of qubit i. The matrix is real:
-    the two blocks {|00>,|11>} and {|01>,|10>} couple through
-    E_mx(1 - b0) and E_mx(1 + b0) respectively.
-    """
-    sz = np.diag([-1.0, 1.0])
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    sy = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
-    i2 = np.eye(2)
-    h = (params.e_j1 / 2.0) * np.kron(sz, i2) + (params.e_j2 / 2.0) * np.kron(i2, sz)
-    h = h + params.e_mx * (np.kron(sx, sx)
-                           + params.b0 * np.kron(sy, sy)
-                           + params.b0 * np.kron(sz, sz))
-    return np.real_if_close(h).astype(float)
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Analytic spectrum and mixing angles of the coupled-qubit Hamiltonian.

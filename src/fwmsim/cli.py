@@ -19,10 +19,10 @@ import numpy as np
 
 from . import __version__
 from .circuit import energy_sweep
-from .config import ResolvedConfig, load_config
+from .config import MAX_ABS, ResolvedConfig, load_config
 from .dynamics import dressed_energy_oracle, gate_fidelity, propagate, propagate_frame
 from .effective import controlled_phase_targets, effective_params
-from .errors import ConfigError, FwmsimError, NumericError, SchemeError
+from .errors import ConfigError, FwmsimError, IntegrationError, NumericError, SchemeError
 from .io import format_frequency, write_csv, write_json
 from .operators import basis_state, product_state
 from .optimize import maximize_fidelity, sweep_coupling_energy
@@ -129,6 +129,9 @@ def cmd_run(cfg: ResolvedConfig, args) -> int:
     duration = cfg.simulation["duration_ns"]
     if duration is None:
         duration = ep.gate_time
+        if not duration <= MAX_ABS:  # also an infinite gate time, at chi = 0
+            raise ConfigError("simulation.duration_ns", f"the gate time {duration:g} ns "
+                              f"is beyond {MAX_ABS:g} ns; give a duration")
     points = cfg.simulation["points"]
     times = np.array([0.0]) if duration == 0 else \
         np.linspace(0.0, duration, max(points, 2))
@@ -141,6 +144,9 @@ def cmd_run(cfg: ResolvedConfig, args) -> int:
         final = traj.final_state
     else:
         ham = build_full_hamiltonian(cfg.params, lab_drives(frame), cfg.cutoffs)
+        if not ham.max_frequency <= MAX_ABS:  # it sets the Magnus step
+            raise IntegrationError(f"lab frequency scale {ham.max_frequency:.4g} GHz is "
+                                   f"beyond {MAX_ABS:g} GHz")
         traj = propagate(ham, psi0, duration, times=times, store_states=True)
         h0 = frame_h0_diagonal(frame)
         overlaps = {label: np.empty(times.size, dtype=complex) for label in refs}

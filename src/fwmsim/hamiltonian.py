@@ -40,10 +40,6 @@ class Hamiltonian:
                 raise ValueError("zero-frequency terms belong in the static part")
 
     @property
-    def dim(self) -> int:
-        return self.static.shape[0]
-
-    @property
     def is_static(self) -> bool:
         return len(self.osc) == 0
 

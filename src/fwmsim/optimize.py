@@ -30,6 +30,8 @@ from .schemes import build_full_hamiltonian
 DEFAULT_GATE_TIME_BOUNDS = (60.0, 120.0)  # ns; keeps the search on fast gates
 TIME_WINDOW = 0.02                        # +-2% scan catches leakage revivals
 DEFAULT_TIME_POINTS = 801
+DEFAULT_BUDGET = 300                      # objective evaluations per search
+DEFAULT_BOUNDS_PCT = 0.1                  # search box half-width, relative to the base point
 _SCAN_BLOCK = 256                         # scan times per phase table (bounds memory)
 
 
@@ -139,14 +141,14 @@ def _resonance_seeded(base: CircuitParams, bounds: dict, delta_ref: float,
 
 
 def maximize_fidelity(e_mx: float, *, bounds: dict | None = None,
-                      bounds_pct: float = 0.1, budget: int = 300, seed: int = 0,
-                      base_params: CircuitParams | None = None,
-                      cutoffs: FockCutoffs = FockCutoffs(3, 3),
+                      bounds_pct: float = DEFAULT_BOUNDS_PCT, budget: int = DEFAULT_BUDGET,
+                      seed: int = 0, base_params: CircuitParams | None = None,
+                      cutoffs: FockCutoffs = FockCutoffs(),
                       gate_time_bounds: tuple = DEFAULT_GATE_TIME_BOUNDS,
                       time_points: int = DEFAULT_TIME_POINTS) -> OptimizationResult:
     """Maximize controlled-phase fidelity over (E_J1, E_J2, b0, gate time).
 
-    Deterministic given ``seed``. Bounds default to +-``bounds_pct`` (10%)
+    Deterministic given ``seed``. Bounds default to +-``bounds_pct``
     around ``base_params`` (default: the bundled cross-Kerr operating point),
     which they must contain; its ``e_mx`` is replaced by ``e_mx``.
     Strategy: the reference point first, then deterministic candidates
@@ -224,10 +226,10 @@ def maximize_fidelity(e_mx: float, *, bounds: dict | None = None,
         fidelity=best[1], evaluations=evaluations, history=tuple(history))
 
 
-def sweep_coupling_energy(e_mx_values, *, bounds_pct: float = 0.1,
-                          budget: int = 300, seed: int = 0,
+def sweep_coupling_energy(e_mx_values, *, bounds_pct: float = DEFAULT_BOUNDS_PCT,
+                          budget: int = DEFAULT_BUDGET, seed: int = 0,
                           base_params: CircuitParams | None = None,
-                          cutoffs: FockCutoffs = FockCutoffs(3, 3),
+                          cutoffs: FockCutoffs = FockCutoffs(),
                           gate_time_bounds: tuple = DEFAULT_GATE_TIME_BOUNDS,
                           time_points: int = DEFAULT_TIME_POINTS) -> list:
     """Run the fidelity search at each coupling energy; one result per value."""

@@ -89,14 +89,10 @@ def operating_point(scheme: Scheme) -> dict:
     }[scheme]()
 
 
-def default_cutoffs() -> FockCutoffs:
-    return FockCutoffs(3, 3)
-
-
 def as_config(point: dict, cutoffs: FockCutoffs | None = None) -> dict:
     """Serialize an operating point into the CLI config document form."""
     p: CircuitParams = point["params"]
-    cut = cutoffs or default_cutoffs()
+    cut = cutoffs or FockCutoffs()
     cfg = {
         "circuit": {
             "e_j1": p.e_j1, "e_j2": p.e_j2, "e_mx": p.e_mx, "b0": p.b0,

@@ -14,7 +14,17 @@ import pytest
 import fwmsim
 from fwmsim.cli import main
 from fwmsim.config import MAX_POINTS, resolve
-from fwmsim.presets import as_config, cross_kerr_point
+from fwmsim.presets import (as_config, beam_splitter_point, cross_kerr_point,
+                            single_mode_squeeze_point, two_mode_squeeze_point)
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "configs")
+CAPACITANCE_CIRCUIT = {
+    "e_j1": 8.45, "e_j2": 13.95, "b0": -0.61, "omega_a1": 10.0, "omega_a2": 16.0,
+    "capacitances": {"c_j1": 4e-16, "c_j2": 5e-16, "c_g1": 6e-17, "c_g2": 7e-17,
+                     "c_m": 2e-17, "c_r1": 9e-15, "c_r2": 1.1e-14, "c_01": 4e-16,
+                     "c_02": 5e-16},
+}
 
 
 @pytest.fixture
@@ -59,13 +69,17 @@ def test_derive_zero_coupling_gives_zero_chi(ck_config, tmp_path):
 
 
 def test_derive_json_roundtrips_through_validator(ck_config, tmp_path):
-    path, _ = ck_config
-    assert main(["derive", "--config", str(path), "--out", str(tmp_path)]) == 0
-    out = json.load(open(tmp_path / "derive.json"))
-    resolved = out["resolved_config"]
-    again = resolve(resolved)
-    assert again.doc == resolved
-    assert again.config_hash == out["config_hash"]
+    path, cfg = ck_config
+    # the capacitance form resolves with its derived couplings written out
+    caps = tmp_path / "caps.json"
+    caps.write_text(json.dumps(dict(cfg, circuit=CAPACITANCE_CIRCUIT)))
+    for config in (path, caps):
+        assert main(["derive", "--config", str(config), "--out", str(tmp_path)]) == 0
+        out = json.load(open(tmp_path / "derive.json"))
+        resolved = out["resolved_config"]
+        again = resolve(resolved)
+        assert again.doc == resolved
+        assert again.config_hash == out["config_hash"]
 
 
 def test_unknown_key_exits_2_with_field_path(tmp_path, capsys):
@@ -231,19 +245,23 @@ def test_invalid_bounds_pair_exits_2(ck_config, tmp_path, capsys):
 
 def test_capacitance_form_config(tmp_path):
     cfg = as_config(cross_kerr_point())
-    cfg["circuit"] = {
-        "e_j1": 8.45, "e_j2": 13.95, "b0": -0.61,
-        "omega_a1": 10.0, "omega_a2": 16.0,
-        "capacitances": {"c_j1": 4e-16, "c_j2": 5e-16, "c_g1": 6e-17,
-                         "c_g2": 7e-17, "c_m": 2e-17, "c_r1": 9e-15,
-                         "c_r2": 1.1e-14, "c_01": 4e-16, "c_02": 5e-16},
-    }
+    cfg["circuit"] = CAPACITANCE_CIRCUIT
     del cfg["detunings"]
     p = tmp_path / "caps.json"
     p.write_text(json.dumps(cfg))
     assert main(["derive", "--config", str(p), "--out", str(tmp_path)]) == 0
     out = json.load(open(tmp_path / "derive.json"))
     assert out["resolved_config"]["circuit"]["e_mx"] > 0
+
+
+def _run_cli_subprocess(tmp_path, command, cfg):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(fwmsim.__file__)))
+    return subprocess.run([sys.executable, "-m", "fwmsim.cli", command, "--config",
+                           str(p), "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 TINY_CAPS = dict.fromkeys(("c_j1", "c_j2", "c_g1", "c_g2", "c_m"), 1e-150)
@@ -253,20 +271,10 @@ TINY_CAPS = dict.fromkeys(("c_j1", "c_j2", "c_g1", "c_g2", "c_m"), 1e-150)
                                  {"c_m": 1e6}, TINY_CAPS],
                          ids=["zero", "negative", "negative-c_m", "singular", "huge-e_mx"])
 def test_invalid_capacitance_exits_2_without_traceback(tmp_path, bad):
-    cfg = as_config(cross_kerr_point())
-    cfg["circuit"] = {
-        "e_j1": 8.45, "e_j2": 13.95, "b0": -0.61, "omega_a1": 10.0, "omega_a2": 16.0,
-        "capacitances": {"c_j1": 4e-16, "c_j2": 5e-16, "c_g1": 6e-17,
-                         "c_g2": 7e-17, "c_m": 2e-17, "c_r1": 9e-15,
-                         "c_r2": 1.1e-14, "c_01": 4e-16, "c_02": 5e-16, **bad},
-    }
-    p = tmp_path / "badcaps.json"
-    p.write_text(json.dumps(cfg))
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(fwmsim.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "fwmsim.cli", "derive", "--config",
-                           str(p), "--out", str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    circuit = dict(CAPACITANCE_CIRCUIT,
+                   capacitances=dict(CAPACITANCE_CIRCUIT["capacitances"], **bad))
+    proc = _run_cli_subprocess(tmp_path, "derive",
+                               dict(as_config(cross_kerr_point()), circuit=circuit))
     assert proc.returncode == 2
     assert "circuit.capacitances" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -276,13 +284,7 @@ def test_single_point_b0_sweep_exits_2_without_traceback(ck_config, tmp_path):
     _, cfg = ck_config
     cfg = json.loads(json.dumps(cfg))
     cfg["sweep"] = {"variable": "b0", "start": -0.7, "stop": -0.5, "points": 1}
-    p = tmp_path / "b0one.json"
-    p.write_text(json.dumps(cfg))
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(fwmsim.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "fwmsim.cli", "sweep", "--config",
-                           str(p), "--out", str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_cli_subprocess(tmp_path, "sweep", cfg)
     assert proc.returncode == 2
     assert "sweep.points" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -396,3 +398,57 @@ def test_points_at_max_points_accepted(ck_config):
     assert resolved.simulation["points"] == MAX_POINTS
     assert resolved.sweep["points"] == MAX_POINTS
     assert resolved.optimize["time_points"] == MAX_POINTS
+
+
+def test_shipped_configs_match_presets():
+    points = {"beam_splitter.json": beam_splitter_point, "cross_kerr.json": cross_kerr_point,
+              "single_mode_squeeze.json": single_mode_squeeze_point,
+              "two_mode_squeeze.json": two_mode_squeeze_point}
+    assert sorted(points) == sorted(n for n in os.listdir(CONFIG_DIR) if n.endswith(".json"))
+    for name, point in points.items():
+        with open(os.path.join(CONFIG_DIR, name)) as fh:
+            assert json.load(fh) == as_config(point()), name
+
+
+def test_seed_override_and_delta_f_reach_derive_json(tmp_path):
+    cfg = as_config(beam_splitter_point())
+    cfg["delta_f"] = 0.0125
+    p = tmp_path / "df.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["derive", "--config", str(p), "--out", str(tmp_path), "--seed", "7"]) == 0
+    out = json.load(open(tmp_path / "derive.json"))
+    assert out["resolved_config"]["seed"] == 7
+    assert out["resolved_config"]["delta_f"] == 0.0125
+    assert out["detunings_ghz"]["delta_f"] == 0.0125
+
+
+@pytest.mark.parametrize("command,section,value,field", [
+    ("run", "simulation", {"duration_ns": -1}, "simulation.duration_ns"),
+    ("run", "simulation", {"frame": "lab", "duration_ns": -1}, "simulation.duration_ns"),
+    ("optimize", "optimize", {"e_mx": -1, "budget": 2}, "optimize.e_mx"),
+    ("sweep", "sweep", {"variable": "emx", "start": -1, "stop": 1, "points": 2,
+                        "budget": 2}, "sweep.start"),
+    ("derive", "circuit", dict(CAPACITANCE_CIRCUIT, g1=77.0), "circuit.g1"),
+], ids=["negative-duration", "negative-lab-duration", "negative-optimize-e_mx",
+        "negative-emx-sweep-start", "capacitance-form-g1"])
+def test_out_of_range_inputs_exit_2_without_traceback(tmp_path, command, section, value,
+                                                       field):
+    cfg = dict(as_config(cross_kerr_point()), **{section: value})
+    proc = _run_cli_subprocess(tmp_path, command, cfg)
+    assert proc.returncode == 2
+    assert field in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("frame", ["interaction", "lab"])
+def test_infinite_default_duration_exits_2(tmp_path, frame):
+    # without drive 1 the beam splitter has chi = 0, so its gate time is infinite
+    cfg = as_config(beam_splitter_point())
+    cfg["drives"][0]["rabi"] = 0.0
+    cfg["simulation"] = {"frame": frame, "points": 3}
+    proc = _run_cli_subprocess(tmp_path, "run", cfg)
+    assert proc.returncode == 2
+    assert "simulation.duration_ns" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "trajectory.csv").exists()
+
