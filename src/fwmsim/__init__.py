@@ -23,8 +23,7 @@ from .effective import (EffectiveParams, IdealOperation, IdealOpSpec,
 from .hamiltonian import Hamiltonian
 from .operators import (FockCutoffs, basis_state, mode_operator, overlap,
                         product_state, transition_operator)
-from .optimize import (OptimizationResult, controlled_phase_fidelity,
-                       maximize_fidelity, sweep_coupling_energy)
+from .optimize import OptimizationResult, controlled_phase_fidelity, maximize_fidelity
 from .schemes import (Detunings, DriveSpec, Scheme, SchemeFrame,
                       build_full_hamiltonian, build_scheme_frame, dispersive_check,
                       lab_hamiltonian_from_frame, static_frame)
@@ -42,7 +41,6 @@ __all__ = [
     "FockCutoffs", "basis_state", "mode_operator", "overlap", "product_state",
     "transition_operator",
     "OptimizationResult", "controlled_phase_fidelity", "maximize_fidelity",
-    "sweep_coupling_energy",
     "Detunings", "DriveSpec", "Scheme", "SchemeFrame", "build_full_hamiltonian",
     "build_scheme_frame", "dispersive_check", "lab_hamiltonian_from_frame",
     "static_frame",

@@ -159,14 +159,11 @@ class CircuitParams:
 
     @classmethod
     def from_capacitances(cls, caps: CapacitanceSet, e_j1: float, e_j2: float,
-                          b0: float, omega_a1: float, omega_a2: float,
-                          include_crosstalk: bool = True) -> "CircuitParams":
+                          b0: float, omega_a1: float, omega_a2: float) -> "CircuitParams":
         d = derive_couplings(caps, omega_a1, omega_a2)
         return cls(e_j1=e_j1, e_j2=e_j2, e_mx=d.e_mx, b0=b0,
                    omega_a1=omega_a1, omega_a2=omega_a2, g1=d.g1, g2=d.g2,
-                   g2_1=d.g2_1 if include_crosstalk else 0.0,
-                   g2_2=d.g2_2 if include_crosstalk else 0.0,
-                   g3=d.g3 if include_crosstalk else 0.0)
+                   g2_1=d.g2_1, g2_2=d.g2_2, g3=d.g3)
 
 
 @dataclass(frozen=True)
@@ -248,12 +245,6 @@ def eigensystem(params: CircuitParams) -> EigenSystem:
     )
 
 
-# Transition-operator pairs (i, j) label sigma_ij = |i><j|; each listed term
-# appears together with its hermitian conjugate.
-_X1_PAIRS = (("a", "b"), ("d", "c"), ("d", "b"), ("a", "c"))
-_X2_PAIRS = (("a", "b"), ("d", "c"), ("a", "c"), ("d", "b"))
-
-
 @dataclass(frozen=True)
 class TransitionTable:
     """Projection of sigma_x1 / sigma_x2 onto the four-level eigenbasis.
@@ -284,10 +275,6 @@ class TransitionTable:
             m[LEVEL_INDEX[i], LEVEL_INDEX[j]] += coef
             m[LEVEL_INDEX[j], LEVEL_INDEX[i]] += coef
         return m
-
-    def effective_coupling(self, g: float, qubit: int, pair: tuple[str, str]) -> float:
-        """g-tilde for one transition: bare coupling times table coefficient."""
-        return g * self.coefficient(qubit, pair)
 
 
 def transition_table(es: EigenSystem) -> TransitionTable:

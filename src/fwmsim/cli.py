@@ -25,7 +25,7 @@ from .effective import controlled_phase_targets, effective_params
 from .errors import ConfigError, FwmsimError, IntegrationError, NumericError, SchemeError
 from .io import format_frequency, write_csv, write_json
 from .operators import basis_state, product_state
-from .optimize import maximize_fidelity, sweep_coupling_energy
+from .optimize import maximize_fidelity
 from .schemes import (Scheme, build_full_hamiltonian, build_scheme_frame,
                       dispersive_check, frame_h0_diagonal, lab_drives)
 
@@ -45,10 +45,8 @@ def _apply_overrides(cfg: ResolvedConfig, args) -> ResolvedConfig:
 
 
 def _frame(cfg: ResolvedConfig):
-    frame, det = build_scheme_frame(cfg.params, cfg.scheme, cfg.drives,
-                                    cfg.cutoffs, detunings=cfg.detunings,
-                                    delta_f=cfg.delta_f)
-    return frame, det
+    return build_scheme_frame(cfg.params, cfg.scheme, cfg.drives, cfg.cutoffs,
+                              detunings=cfg.detunings, delta_f=cfg.delta_f)
 
 
 def _effective_payload(frame, det, ep):
@@ -178,7 +176,7 @@ def cmd_run(cfg: ResolvedConfig, args) -> int:
                "chi_ghz": ep.chi}
     if "target" in refs:
         fid = gate_fidelity(final, refs["target"], cutoffs=frame.cutoffs,
-                            ground_level=frame.ground_level, gate_time=ep.gate_time)
+                            ground_level=frame.ground_level)
         summary["fidelity"] = fid.fidelity
         summary["leakage"] = fid.leakage
     json_path = os.path.join(out_dir, "summary.json")
@@ -202,11 +200,11 @@ def cmd_sweep(cfg: ResolvedConfig, args) -> int:
         print(f"wrote {path}")
         return 0
     values = np.linspace(cfg.sweep["start"], cfg.sweep["stop"], cfg.sweep["points"])
-    results = sweep_coupling_energy(
-        values, bounds_pct=cfg.optimize["bounds_pct"], budget=cfg.sweep["budget"],
+    results = [maximize_fidelity(
+        float(e_mx), bounds_pct=cfg.optimize["bounds_pct"], budget=cfg.sweep["budget"],
         seed=cfg.seed, base_params=cfg.params, cutoffs=cfg.cutoffs,
         gate_time_bounds=tuple(cfg.sweep["gate_time_ns"]),
-        time_points=cfg.optimize["time_points"])
+        time_points=cfg.optimize["time_points"]) for e_mx in values]
     rows = [(r.e_mx, r.fidelity, r.best_gate_time, *r.best_params) for r in results]
     path = os.path.join(out_dir, "fidelity_sweep.csv")
     write_csv(path, ["emx_GHz", "fidelity", "gate_time_ns", "EJ1", "EJ2", "b0"],

@@ -251,7 +251,7 @@ def resolve(doc: dict) -> ResolvedConfig:
     res["optimize"].setdefault("e_mx", params.e_mx)
     det = res.get("detunings")
     return ResolvedConfig(
-        doc=res, params=params, scheme=Scheme.from_code(res["scheme"]),
+        doc=res, params=params, scheme=Scheme(res["scheme"]),
         drives=tuple(DriveSpec(**d) for d in res["drives"]),
         detunings=None if det is None else Detunings(**det), delta_f=res.get("delta_f"),
         cutoffs=FockCutoffs(**res["cutoffs"]), simulation=res["simulation"],

@@ -9,7 +9,9 @@ plus the commutator term). Each Magnus step exp(Omega) = exp(-i G) is taken
 through the eigendecomposition G = U diag(w) U^dag of the hermitian generator
 G = i Omega, which makes every step unitary to roundoff and keeps the whole
 loop on numpy's LAPACK. Scheme frames additionally factorize exactly through
-their static co-rotating frame.
+their static co-rotating frame. Sample times must be finite, and every state
+must keep its norm within NORM_TOL (a NaN state fails too). A dressed branch
+is the eigenvector of largest overlap, at least 0.5, with its bare label.
 """
 
 from __future__ import annotations
@@ -52,17 +54,16 @@ class Trajectory:
 class FidelityResult:
     fidelity: float
     leakage: float
-    gate_time: float | None = None
 
 
 def _check_times(times: np.ndarray):
     if times.size == 0:
         raise ValueError("times must not be empty")
-    if times[0] < 0 or np.any(np.diff(times) <= 0) and times.size > 1:
-        raise ValueError("times must be non-negative and strictly increasing")
+    if not np.all(np.isfinite(times)) or times[0] < 0 or np.any(np.diff(times) <= 0):
+        raise ValueError("times must be finite, non-negative and strictly increasing")
 
 
-def _trajectory(times, states_at, references, store_states, norm_tol):
+def _trajectory(times, states_at, references, store_states):
     refs = references or {}
     overlaps = {label: np.empty(len(times), dtype=complex) for label in refs}
     norms = np.empty(len(times))
@@ -75,9 +76,9 @@ def _trajectory(times, states_at, references, store_states, norm_tol):
         if kept is not None:
             kept.append(psi.copy())
     drift = float(np.max(np.abs(norms - 1.0)))
-    if drift > norm_tol:
+    if not drift <= NORM_TOL:  # also a NaN state
         raise IntegrationError(
-            f"norm drift {drift:.3e} exceeds {norm_tol:g}; "
+            f"norm drift {drift:.3e} exceeds {NORM_TOL:g}; "
             f"worst point t = {times[int(np.argmax(np.abs(norms - 1.0)))]:.6g} ns")
     return Trajectory(times=np.asarray(times, dtype=float), overlaps=overlaps,
                       norms=norms, final_state=psi, states=kept)
@@ -126,8 +127,7 @@ def _magnus_states(ham: Hamiltonian, psi0: np.ndarray, times: np.ndarray,
 def propagate(ham: Hamiltonian, psi0: np.ndarray, t_end: float, *,
               times: np.ndarray | None = None, n_points: int = DEFAULT_POINTS,
               references: dict | None = None, store_states: bool = False,
-              step: float | None = None, check_convergence: bool = False,
-              norm_tol: float = NORM_TOL) -> Trajectory:
+              step: float | None = None, check_convergence: bool = False) -> Trajectory:
     """Propagate a state and record overlap traces at the sample times.
 
     Static Hamiltonians are evolved exactly. Time-dependent ones use the
@@ -135,7 +135,7 @@ def propagate(ham: Hamiltonian, psi0: np.ndarray, t_end: float, *,
     ``check_convergence`` the step is halved until the final-state overlaps
     move by less than 1e-8, as the accuracy contract requires.
     """
-    if np.abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
+    if not np.abs(np.linalg.norm(psi0) - 1.0) <= 1e-9:  # also a NaN state
         raise ValueError("initial state must be normalized")
     if times is None:
         times = np.linspace(0.0, t_end, n_points)
@@ -144,18 +144,18 @@ def propagate(ham: Hamiltonian, psi0: np.ndarray, t_end: float, *,
 
     if ham.is_static:
         return _trajectory(times, evolve_static(ham.static, psi0, times),
-                           references, store_states, norm_tol)
+                           references, store_states)
 
     substep = 1.0 / (STEP_FREQ_FACTOR * max(ham.max_frequency, 1e-12))
     if step is not None:
         substep = min(substep, step)
     traj = _trajectory(times, _magnus_states(ham, psi0, times, substep),
-                       references, store_states, norm_tol)
+                       references, store_states)
     if not check_convergence:
         return traj
     for _ in range(3):
         finer = _trajectory(times, _magnus_states(ham, psi0, times, substep / 2.0),
-                            references, store_states, norm_tol)
+                            references, store_states)
         moved = abs(1.0 - abs(np.vdot(finer.final_state, traj.final_state)))
         for label in traj.overlaps:
             moved = max(moved, float(np.max(np.abs(
@@ -169,8 +169,7 @@ def propagate(ham: Hamiltonian, psi0: np.ndarray, t_end: float, *,
 
 def propagate_frame(frame: SchemeFrame, psi0: np.ndarray, t_end: float, *,
                     times: np.ndarray | None = None, n_points: int = DEFAULT_POINTS,
-                    references: dict | None = None, store_states: bool = False,
-                    norm_tol: float = NORM_TOL) -> Trajectory:
+                    references: dict | None = None, store_states: bool = False) -> Trajectory:
     """Exact propagation of a scheme frame via its static co-rotating frame.
 
     psi(t) = e^{-i 2 pi G t} e^{-i 2 pi H' t} psi(0) with diagonal G; this is
@@ -184,7 +183,7 @@ def propagate_frame(frame: SchemeFrame, psi0: np.ndarray, t_end: float, *,
     h_static, g_diag = static_frame(frame)
     states = (np.exp(-2j * np.pi * g_diag * t) * inner
               for t, inner in zip(times, evolve_static(h_static, psi0, times)))
-    return _trajectory(times, states, references, store_states, norm_tol)
+    return _trajectory(times, states, references, store_states)
 
 
 def computational_indices(cutoffs: FockCutoffs, ground_level: str) -> np.ndarray:
@@ -194,7 +193,7 @@ def computational_indices(cutoffs: FockCutoffs, ground_level: str) -> np.ndarray
 
 
 def gate_fidelity(state_or_traj, target: np.ndarray, *, cutoffs: FockCutoffs,
-                  ground_level: str, gate_time: float | None = None) -> FidelityResult:
+                  ground_level: str) -> FidelityResult:
     """State-overlap fidelity |<target|psi>|^2 plus leakage outside the
     computational block."""
     psi = state_or_traj.final_state if isinstance(state_or_traj, Trajectory) \
@@ -204,31 +203,34 @@ def gate_fidelity(state_or_traj, target: np.ndarray, *, cutoffs: FockCutoffs,
     fid = float(abs(np.vdot(target, psi)) ** 2)
     comp = computational_indices(cutoffs, ground_level)
     leak = float(1.0 - np.sum(np.abs(psi[comp]) ** 2))
-    return FidelityResult(fidelity=fid, leakage=max(leak, 0.0), gate_time=gate_time)
+    return FidelityResult(fidelity=fid, leakage=max(leak, 0.0))
 
 
 # ---------------------------------------------------------------------------
 # adiabatic branch tracking and the dressed-energy oracle
 
-def track_branch(h_full: np.ndarray, h_base: np.ndarray, label_vec: np.ndarray,
-                 steps: int = 10) -> tuple[float, np.ndarray]:
+def _branch_column(u: np.ndarray, label_vec: np.ndarray, what: str) -> int:
+    """Column of the eigenvector matrix ``u`` with the largest overlap with
+    ``label_vec``; an overlap below 0.5 raises :class:`TrackingError`."""
+    weights = np.abs(label_vec.conj() @ u) ** 2
+    k = int(np.argmax(weights))
+    if not weights[k] >= 0.5:
+        raise TrackingError(f"{what} not identifiable: best overlap {weights[k]:.3f} < 0.5")
+    return k
+
+
+def track_branch(h_full: np.ndarray, h_base: np.ndarray,
+                 label_vec: np.ndarray) -> tuple[float, np.ndarray]:
     """Follow the eigenvector adiabatically connected to ``label_vec``.
 
-    The coupling (h_full - h_base) is ramped in ``steps`` increments; at each
-    step the branch is re-identified by maximum overlap. An overlap below 0.5
-    raises :class:`TrackingError`.
+    The coupling (h_full - h_base) is ramped in RAMP_STEPS increments; at
+    each step the branch is re-identified by :func:`_branch_column`.
     """
     v = label_vec.astype(complex)
     coupling = h_full - h_base
-    energy = None
-    for lam in np.linspace(1.0 / steps, 1.0, steps):
+    for lam in np.linspace(1.0 / RAMP_STEPS, 1.0, RAMP_STEPS):
         w, u = np.linalg.eigh(h_base + lam * coupling)
-        weights = np.abs(u.conj().T @ v) ** 2
-        k = int(np.argmax(weights))
-        if weights[k] < 0.5:
-            raise TrackingError(
-                f"branch tracking ambiguous at ramp {lam:.2f}: best overlap "
-                f"{weights[k]:.3f} < 0.5")
+        k = _branch_column(u, v, f"branch at ramp {lam:.2f}")
         v = u[:, k]
         energy = float(w[k])
     return energy, v
@@ -258,7 +260,7 @@ def _cross_kerr_oracle(frame: SchemeFrame) -> EffectiveParams:
             idx = np.where((num1 == s1) & (num2 == s2))[0]
             label = basis_state(cut, frame.ground_level, s1, s2)[idx]
             e, _ = track_branch(h_full[np.ix_(idx, idx)], h_base[np.ix_(idx, idx)],
-                                label, steps=RAMP_STEPS)
+                                label)
             energy[(s1, s2)] = e
     chi = energy[(1, 1)] - energy[(1, 0)] - energy[(0, 1)] + energy[(0, 0)]
     de1 = energy[(1, 0)] - energy[(0, 0)]

@@ -62,12 +62,9 @@ class EffectiveParams:
         return abs(self.chi) * 1e3
 
 
-def effective_params(frame: SchemeFrame,
-                     detunings: Detunings | None = None) -> EffectiveParams:
-    """Evaluate the scheme's closed forms on a frame (or on explicitly
-    supplied detunings, keeping the frame's couplings and drive amplitudes)."""
-    det = detunings if detunings is not None else frame.detunings
-    return effective_params_from_values(frame.scheme, det, frame.gtilde1,
+def effective_params(frame: SchemeFrame) -> EffectiveParams:
+    """Evaluate the scheme's closed forms on a frame."""
+    return effective_params_from_values(frame.scheme, frame.detunings, frame.gtilde1,
                                         frame.gtilde2, frame.rabi1, frame.rabi2)
 
 

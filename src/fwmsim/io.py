@@ -24,14 +24,13 @@ def format_frequency(value_ghz: float) -> str:
     return f"{value_ghz:.6g} GHz"
 
 
-def write_csv(path: str, header: list[str], rows, cfg_hash: str,
-              fmt: str = "%.12g") -> None:
+def write_csv(path: str, header: list[str], rows, cfg_hash: str) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(meta_line(cfg_hash) + "\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(fmt % v for v in row) + "\n")
+            fh.write(",".join("%.12g" % v for v in row) + "\n")
 
 
 def write_json(path: str, payload: dict, cfg_hash: str) -> None:

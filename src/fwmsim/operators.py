@@ -141,14 +141,14 @@ def overlap(psi: np.ndarray, phi: np.ndarray) -> complex:
     return complex(np.vdot(psi, phi))
 
 
-def is_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) < atol)
+def is_hermitian(m: np.ndarray) -> bool:
+    return bool(np.max(np.abs(m - m.conj().T)) < HERMITICITY_ATOL)
 
 
-def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL,
-                      what: str = "operator") -> np.ndarray:
-    """Return ``m`` unchanged, raising if it is not hermitian within ``atol``."""
+def require_hermitian(m: np.ndarray, what: str = "operator") -> np.ndarray:
+    """Return ``m`` unchanged, raising if it is not hermitian within
+    HERMITICITY_ATOL."""
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev >= atol:
+    if not dev < HERMITICITY_ATOL:  # also a NaN matrix
         raise ValueError(f"{what} is not hermitian: max |M - M^dag| = {dev:.3e}")
     return m

@@ -1,15 +1,17 @@
 """Controlled-phase gate fidelity maximization under the full lab-frame
-Hamiltonian, reproducing the fidelity-vs-coupling-energy landscape.
+Hamiltonian; the fidelity-vs-coupling-energy landscape is one search per
+coupling energy.
 
 The objective for a candidate (E_J1, E_J2, b0) at fixed coupling energy:
 build the full (drive-free) cross-Kerr lab Hamiltonian, extract the exact
-dressed energies of the four computational branches |a; n1 n2>, form the
-pi-conditional-phase target from those energies, and evaluate the state
-fidelity on a fine time scan around the exact gate time 1/(2|chi_lab|).
-Using the dressed energies (not the fourth-order formulas) for the target's
-single-photon phases is what makes the full-model fidelity meaningful: the
-lab Hamiltonian carries real second-order shifts that the closed forms do
-not, and they would otherwise be misread as gate error.
+dressed energies of the four computational branches |a; n1 n2> (by the
+branch rule of :mod:`fwmsim.dynamics`), form the pi-conditional-phase target
+from those energies, and evaluate the state fidelity on a fine time scan
+around the exact gate time 1/(2|chi_lab|). Using the dressed energies (not
+the fourth-order formulas) for the target's single-photon phases is what
+makes the full-model fidelity meaningful: the lab Hamiltonian carries real
+second-order shifts that the closed forms do not, and they would otherwise
+be misread as gate error.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .circuit import CircuitParams
-from .dynamics import computational_indices
+from .dynamics import _branch_column, computational_indices
 from .errors import OptimizationError, TrackingError
-from .operators import FockCutoffs, product_state
+from .operators import FockCutoffs, basis_state, product_state
 from .presets import cross_kerr_point
 from .schemes import build_full_hamiltonian
 
@@ -78,17 +80,10 @@ def controlled_phase_fidelity(params: CircuitParams, cutoffs: FockCutoffs, *,
         raise ValueError("time_points must be at least 1")
     ham = build_full_hamiltonian(params, (), cutoffs)
     w, u = np.linalg.eigh(ham.static)
-    comp = computational_indices(cutoffs, "a")
-    energies = np.empty(4)
-    for k, idx in enumerate(comp):
-        weights = np.abs(u[idx, :]) ** 2
-        j = int(np.argmax(weights))
-        if weights[j] < 0.5:
-            raise TrackingError(
-                f"computational branch |a;{k >> 1}{k & 1}> not identifiable "
-                f"(best weight {weights[j]:.3f})")
-        energies[k] = w[j]
-    # comp ordering is (0,0), (0,1), (1,0), (1,1)
+    comp = computational_indices(cutoffs, "a")  # (0,0), (0,1), (1,0), (1,1)
+    energies = np.array([w[_branch_column(u, basis_state(cutoffs, "a", n1, n2),
+                                          f"computational branch |a;{n1}{n2}>")]
+                         for n1 in (0, 1) for n2 in (0, 1)])
     chi_lab = energies[3] - energies[2] - energies[1] + energies[0]
     if chi_lab == 0:
         return None
@@ -140,17 +135,17 @@ def _resonance_seeded(base: CircuitParams, bounds: dict, delta_ref: float,
     return seeds
 
 
-def maximize_fidelity(e_mx: float, *, bounds: dict | None = None,
-                      bounds_pct: float = DEFAULT_BOUNDS_PCT, budget: int = DEFAULT_BUDGET,
-                      seed: int = 0, base_params: CircuitParams | None = None,
+def maximize_fidelity(e_mx: float, *, bounds_pct: float = DEFAULT_BOUNDS_PCT,
+                      budget: int = DEFAULT_BUDGET, seed: int = 0,
+                      base_params: CircuitParams | None = None,
                       cutoffs: FockCutoffs = FockCutoffs(),
                       gate_time_bounds: tuple = DEFAULT_GATE_TIME_BOUNDS,
                       time_points: int = DEFAULT_TIME_POINTS) -> OptimizationResult:
     """Maximize controlled-phase fidelity over (E_J1, E_J2, b0, gate time).
 
-    Deterministic given ``seed``. Bounds default to +-``bounds_pct``
-    around ``base_params`` (default: the bundled cross-Kerr operating point),
-    which they must contain; its ``e_mx`` is replaced by ``e_mx``.
+    Deterministic given ``seed``. The search box is +-``bounds_pct``, in
+    (0, 1), around ``base_params`` (default: the bundled cross-Kerr operating
+    point) with its ``e_mx`` replaced by ``e_mx``.
     Strategy: the reference point first, then deterministic candidates
     re-centered on the two-photon resonance, then seeded-uniform sampling,
     then a Nelder-Mead refinement from the best sample; the total number of
@@ -158,17 +153,12 @@ def maximize_fidelity(e_mx: float, *, bounds: dict | None = None,
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    if not 0 < bounds_pct < 1:
+        raise ValueError("bounds_pct must be in (0, 1)")
     base = replace(base_params or cross_kerr_point()["params"], e_mx=e_mx)
-    if bounds is None:
-        bounds = {}
-        for name in ("e_j1", "e_j2", "b0"):
-            v = getattr(base, name)
-            lo, hi = sorted(((1.0 - bounds_pct) * v, (1.0 + bounds_pct) * v))
-            bounds[name] = (lo, hi)
-    for name in ("e_j1", "e_j2", "b0"):
-        lo, hi = bounds[name]
-        if not (lo <= getattr(base, name) <= hi):
-            raise ValueError(f"bounds must contain the reference point ({name})")
+    bounds = {name: tuple(sorted(((1.0 - bounds_pct) * getattr(base, name),
+                                  (1.0 + bounds_pct) * getattr(base, name))))
+              for name in ("e_j1", "e_j2", "b0")}
 
     rng = np.random.default_rng(seed)
     history: list = []
@@ -225,16 +215,3 @@ def maximize_fidelity(e_mx: float, *, bounds: dict | None = None,
         e_mx=e_mx, best_params=best[0], best_gate_time=best[2],
         fidelity=best[1], evaluations=evaluations, history=tuple(history))
 
-
-def sweep_coupling_energy(e_mx_values, *, bounds_pct: float = DEFAULT_BOUNDS_PCT,
-                          budget: int = DEFAULT_BUDGET, seed: int = 0,
-                          base_params: CircuitParams | None = None,
-                          cutoffs: FockCutoffs = FockCutoffs(),
-                          gate_time_bounds: tuple = DEFAULT_GATE_TIME_BOUNDS,
-                          time_points: int = DEFAULT_TIME_POINTS) -> list:
-    """Run the fidelity search at each coupling energy; one result per value."""
-    return [maximize_fidelity(float(e), bounds_pct=bounds_pct, budget=budget,
-                              seed=seed, base_params=base_params, cutoffs=cutoffs,
-                              gate_time_bounds=gate_time_bounds,
-                              time_points=time_points)
-            for e in e_mx_values]

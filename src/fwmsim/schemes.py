@@ -39,13 +39,6 @@ class Scheme(enum.Enum):
     TWO_MODE_SQUEEZE = "sq2"
     SINGLE_MODE_SQUEEZE = "sq1"
 
-    @classmethod
-    def from_code(cls, code: str) -> "Scheme":
-        for s in cls:
-            if s.value == code:
-                return s
-        raise SchemeError(f"unknown scheme code {code!r} (use bm|ck|sq2|sq1)")
-
 
 @dataclass(frozen=True)
 class SchemeSpec:
@@ -293,8 +286,8 @@ def build_scheme_frame(params: CircuitParams, scheme: Scheme,
 
     es = eigensystem(params)
     table = transition_table(es)
-    gt1 = table.effective_coupling(params.g1, 1, ("d", "c"))     # g1 cos(th+ - th-)
-    gt2 = table.effective_coupling(params.g2, 2, ("d", "b"))     # g2 cos(th+ + th-)
+    gt1 = params.g1 * table.coefficient(1, ("d", "c"))     # g1 cos(th+ - th-)
+    gt2 = params.g2 * table.coefficient(2, ("d", "b"))     # g2 cos(th+ + th-)
     if not spec.retained[2]:
         gt2 = 0.0  # mode 2 is decoupled in this frame
 
@@ -382,12 +375,12 @@ def _mode_pieces(cutoffs: FockCutoffs) -> tuple[np.ndarray, ...]:
 
 def build_full_hamiltonian(params: CircuitParams,
                            drives: tuple[DriveSpec, ...] = (),
-                           cutoffs: FockCutoffs = FockCutoffs(),
-                           include_crosstalk: bool = True) -> Hamiltonian:
+                           cutoffs: FockCutoffs = FockCutoffs()) -> Hamiltonian:
     """Full lab-frame Hamiltonian in the eigenbasis of the four-level system.
 
     Keeps every transition matrix element of both sigma_x projections (no
-    rotating-wave truncation) and, optionally, the cross-talk couplings.
+    rotating-wave truncation) and the cross-talk couplings; a zero
+    ``g2_1``/``g2_2``/``g3`` drops its term.
     Drives must carry explicit frequencies here; each drive contributes
     2 * rabi * cos(2 pi omega t) on its sigma_x operator, i.e. ``rabi`` is
     the lab amplitude of a unit-coefficient transition.
@@ -403,13 +396,12 @@ def build_full_hamiltonian(params: CircuitParams,
     h = embed_level_matrix(cutoffs, np.diag(es.energies))
     h = h + params.omega_a1 * np.kron(i4, n1) + params.omega_a2 * np.kron(i4, n2)
     h = h + params.g1 * np.kron(s1, q1) + params.g2 * np.kron(s2, q2)
-    if include_crosstalk:
-        if params.g2_1:
-            h = h + params.g2_1 * np.kron(s1, q2)
-        if params.g2_2:
-            h = h + params.g2_2 * np.kron(s2, q1)
-        if params.g3:
-            h = h + params.g3 * np.kron(i4, q1q2)
+    if params.g2_1:
+        h = h + params.g2_1 * np.kron(s1, q2)
+    if params.g2_2:
+        h = h + params.g2_2 * np.kron(s2, q1)
+    if params.g3:
+        h = h + params.g3 * np.kron(i4, q1q2)
     osc = []
     for d in drives:
         if d.frequency is None:

@@ -14,6 +14,7 @@ import pytest
 import fwmsim
 from fwmsim.cli import main
 from fwmsim.config import MAX_POINTS, resolve
+from fwmsim.errors import ConfigError
 from fwmsim.presets import (as_config, beam_splitter_point, cross_kerr_point,
                             single_mode_squeeze_point, two_mode_squeeze_point)
 
@@ -90,6 +91,13 @@ def test_unknown_key_exits_2_with_field_path(tmp_path, capsys):
     assert main(["derive", "--config", str(p)]) == 2
     err = capsys.readouterr().err
     assert "circuit.e_junk" in err
+
+
+def test_unknown_scheme_code_is_config_error(ck_config):
+    _, cfg = ck_config
+    with pytest.raises(ConfigError) as err:
+        resolve(dict(cfg, scheme="xx"))
+    assert err.value.field == "scheme"
 
 
 def test_missing_required_exits_2(tmp_path, capsys):

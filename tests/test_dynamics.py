@@ -106,12 +106,52 @@ def test_empty_times_rejected():
                         times=[])
 
 
-def test_norm_drift_contract_enforced():
+def test_norm_drift_contract_enforced(monkeypatch):
     rng = np.random.RandomState(2)
     h = _random_hermitian(rng, 6)
     psi0 = _random_state(rng, 6)
+    monkeypatch.setattr(dynamics, "NORM_TOL", 1e-20)
     with pytest.raises(IntegrationError):
-        propagate(Hamiltonian(h), psi0, 1.0, n_points=3, norm_tol=1e-20)
+        propagate(Hamiltonian(h), psi0, 1.0, n_points=3)
+
+
+_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+_H2 = Hamiltonian(np.diag([0.0, 1.0]))
+_H2_DRIVEN = Hamiltonian(np.diag([0.0, 1.0]), ((0.1 * np.eye(2), 1.0),))
+_FRAME_CUT = FockCutoffs(1, 1)
+
+
+def _ck_frame():
+    pt = cross_kerr_point()
+    frame, _ = build_scheme_frame(pt["params"], pt["scheme"], pt["drives"], _FRAME_CUT,
+                                  detunings=pt["detunings"])
+    return frame
+
+
+NON_FINITE_CASES = {
+    "nan-psi0": (lambda: propagate(_H2, _PLUS * np.nan, 1.0, n_points=3), ValueError),
+    "nan-hamiltonian": (lambda: Hamiltonian(np.array([[0.0, np.nan], [np.nan, 1.0]])),
+                        ValueError),
+    # 2 pi * 1e308 * t overflows, so every propagated state is NaN
+    "nan-state": (lambda: propagate(Hamiltonian(np.diag([0.0, 1e308])), _PLUS, 1.0,
+                                    n_points=2), IntegrationError),
+}
+for _name, _times in (("inf", [0.0, np.inf]), ("nan-inside", [0.0, np.nan, 1.0]),
+                      ("nan-only", [np.nan])):
+    NON_FINITE_CASES[f"times-{_name}"] = (
+        lambda t=_times: propagate(_H2, _PLUS, 1.0, times=t), ValueError)
+    NON_FINITE_CASES[f"times-{_name}-magnus"] = (
+        lambda t=_times: propagate(_H2_DRIVEN, _PLUS, 1.0, times=t), ValueError)
+    NON_FINITE_CASES[f"times-{_name}-frame"] = (
+        lambda t=_times: propagate_frame(_ck_frame(), basis_state(_FRAME_CUT, "a", 0, 0),
+                                         1.0, times=t), ValueError)
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_non_finite_inputs_raise(case):
+    call, error = NON_FINITE_CASES[case]
+    with np.errstate(all="ignore"), pytest.raises(error):
+        call()
 
 
 def test_trajectory_overlap_traces_and_drift():
@@ -238,7 +278,7 @@ def test_track_branch_ambiguity_raises():
     c = rng.normal(size=(n, n))
     c = (c + c.T) / 2.0
     with pytest.raises(TrackingError):
-        track_branch(base + c, base, np.eye(n)[:, 0], steps=10)
+        track_branch(base + c, base, np.eye(n)[:, 0])
 
 
 def test_oracle_cross_kerr_reference_point():

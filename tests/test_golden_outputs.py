@@ -1,19 +1,22 @@
 """Byte-level pins of the physics numbers.
 
 ``derive.json`` of the four shipped configs, with and without the
-dressed-energy oracle, and the frame matrices of every preset operating
-point are pinned by sha256. A change in the last bit of a
+dressed-energy oracle, the frame matrices of every preset operating point,
+and the files of short ``run``, ``optimize`` and ``sweep`` jobs are pinned
+by sha256. A change in the last bit of a
 closed form, a detuning, a dispersive entry, a note or a frame entry breaks
 one of these digests. A change that is meant to move a number must update
 the digest and say why the new value is more correct.
 
-The config hash in each output header covers ``outputs.dir``, so derive is
-run with the same relative ``--out`` from a fresh working directory.
+The config hash in each output header covers ``outputs.dir``, so every
+command is run with the same relative ``--out`` from a fresh working
+directory.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import os
 
 import numpy as np
@@ -101,3 +104,61 @@ def test_frame_matrix_bytes(scheme):
     assert _sha(frame.h_i0) == h_i0
     assert _sha(frame.v_static) == v_static
     assert tuple((_sha(m), nu) for m, nu in frame.osc_terms) == osc
+
+
+_LAB_SHORT = {"frame": "lab", "duration_ns": 0.005, "points": 11}
+
+# case -> (config, command, extra flags, replaced config sections,
+#          {output file: sha256})
+JOB_SHA256 = {
+    "run-interaction-bm": ("beam_splitter.json", "run", ("--cutoff", "2"), {}, {
+        "summary.json": "a1c209be17fd957ff9e699a08eff4a4536cd7582e669602a6685da4b1f80334c",
+        "trajectory.csv": "596cfd5a0995d678f4513bc7985943cd87b113fda529ba19d14656f893be9adf"}),
+    "run-interaction-ck": ("cross_kerr.json", "run", ("--cutoff", "2"), {}, {
+        "summary.json": "c775e5916de079d46dd7140de8adab7ceaaba997672e0f880119a2e3814b8c9d",
+        "trajectory.csv": "3cbdfae13e582aa35318d38ed7a2502f15f0b527fb02ec45c2dc2552b7aa46f9"}),
+    "run-interaction-sq1": ("single_mode_squeeze.json", "run", ("--cutoff", "2"), {}, {
+        "summary.json": "a03ca493a429208bf433f3c4305897c8f71c0f58f22c0c179a092a87582625d1",
+        "trajectory.csv": "cf3be8f075e5f15c252c54253d1cac5adf4ce3b584c95e071af1a2222eda42c8"}),
+    "run-interaction-sq2": ("two_mode_squeeze.json", "run", ("--cutoff", "2"), {}, {
+        "summary.json": "6df928957ea26c25e928061542759b8a6b7e8e970f3696155c2c601a231a3786",
+        "trajectory.csv": "5580103172ccd8bf02bed9ede411f99e90756bb11518129425d9684b584f3617"}),
+    "run-lab-bm": ("beam_splitter.json", "run", (), {"simulation": _LAB_SHORT}, {
+        "summary.json": "155287919c0bebc829e0e7f85399e7c2fcc0217737b9e05897069b1334f41738",
+        "trajectory.csv": "fbb80f764d25b054e84e47bde76ec5965fd876827e48e4a75536c96cf0f78da9"}),
+    "run-lab-sq1": ("single_mode_squeeze.json", "run", (), {"simulation": _LAB_SHORT}, {
+        "summary.json": "cbe121b5a6ba57fd9fa013f4ed74c8e0c86a8d2ef78fe8c5b07c7daa8dc93c6e",
+        "trajectory.csv": "8762607f21cb06a595bb8a2e3e2470e61abd9dc848334bf4a859d42457437d64"}),
+    # static lab Hamiltonian over the whole gate; its norm_drift shows a
+    # change in the last bit of the propagated states
+    "run-lab-ck": ("cross_kerr.json", "run", (), {"simulation": {"frame": "lab"}}, {
+        "summary.json": "7fcc137fd790097609baf9c480c949c26aa8fecda8d5ec231b06e164da5ade36",
+        "trajectory.csv": "f44e51217eff8b915f53c6aa6376902fa788586893d091a9873abfeca4662cdb"}),
+    "optimize-ck": ("cross_kerr.json", "optimize", (), {"optimize": {"budget": 40}}, {
+        "optimize.json": "4f36af871cac4406e4068754dc8d617277c3d394784a55e255d7dd70c1f3d56d"}),
+    "sweep-b0-ck": ("cross_kerr.json", "sweep", (),
+                    {"sweep": {"variable": "b0", "start": -1.5, "stop": 1.5,
+                               "points": 51}},
+                    {"energy_sweep.csv":
+                     "452627d0c271cc0d9f4791becd47e17b8b205ed372887fdb074a1316d96a20a6"}),
+    "sweep-emx-ck": ("cross_kerr.json", "sweep", (),
+                     {"sweep": {"variable": "emx", "start": 3.8, "stop": 4.2,
+                                "points": 2, "budget": 15}},
+                     {"fidelity_sweep.csv":
+                      "35bead7974b1ea9af285cf59fef70224764220ba651760591bc6feb928f667b4"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JOB_SHA256))
+def test_job_output_bytes(case, tmp_path, monkeypatch):
+    name, command, flags, sections, want = JOB_SHA256[case]
+    with open(os.path.join(CONFIG_DIR, name)) as fh:
+        doc = json.load(fh)
+    doc.update(sections)
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, "--config", "config.json", "--out", "out", *flags]) == 0
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+           for f in (tmp_path / "out").iterdir()}
+    assert got == want

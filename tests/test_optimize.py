@@ -8,8 +8,7 @@ import pytest
 from fwmsim.dynamics import computational_indices
 from fwmsim.errors import OptimizationError, TrackingError
 from fwmsim.operators import FockCutoffs, basis_state, product_state
-from fwmsim.optimize import (controlled_phase_fidelity, maximize_fidelity,
-                             sweep_coupling_energy)
+from fwmsim.optimize import controlled_phase_fidelity, maximize_fidelity
 from fwmsim.presets import cross_kerr_point
 from fwmsim.schemes import build_full_hamiltonian
 
@@ -75,11 +74,10 @@ def test_reevaluation_oracle():
     assert ev.gate_time == pytest.approx(res.best_gate_time, abs=1e-10)
 
 
-def test_bounds_must_contain_reference():
-    with pytest.raises(ValueError):
-        maximize_fidelity(4.0, budget=5, seed=0,
-                          bounds={"e_j1": (9.0, 10.0), "e_j2": (12.0, 15.0),
-                                  "b0": (-0.7, -0.5)})
+@pytest.mark.parametrize("bounds_pct", [0.0, 1.0, -0.1, 1.5, float("nan")])
+def test_bounds_pct_outside_unit_interval_rejected(bounds_pct):
+    with pytest.raises(ValueError, match="bounds_pct"):
+        maximize_fidelity(4.0, budget=5, seed=0, bounds_pct=bounds_pct)
 
 
 def test_all_rejected_raises_optimization_error():
@@ -91,14 +89,6 @@ def test_small_search_exceeds_099():
     res = maximize_fidelity(4.0, budget=60, seed=1)
     assert res.fidelity > 0.99
     assert 60.0 <= res.best_gate_time <= 123.0
-
-
-def test_sweep_single_point_equals_direct_call():
-    direct = maximize_fidelity(4.0, budget=10, seed=4)
-    swept = sweep_coupling_energy([4.0], budget=10, seed=4)
-    assert len(swept) == 1
-    assert swept[0].fidelity == direct.fidelity
-    assert swept[0].best_params == direct.best_params
 
 
 def _per_time_scan(params, cutoffs, gate_time_bounds=(60.0, 120.0),
