@@ -33,11 +33,16 @@ class Hamiltonian:
 
     def __post_init__(self):
         require_hermitian(self.static, what="static Hamiltonian part")
-        for m, nu in self.osc:
+        for k, (m, nu) in enumerate(self.osc):
             if m.shape != self.static.shape:
-                raise ValueError("oscillating term dimension mismatch")
+                raise ValueError(f"oscillating term {k}: dimension mismatch")
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"oscillating term {k}: matrix has non-finite entries")
+            if not math.isfinite(nu):
+                raise ValueError(f"oscillating term {k}: frequency {nu} is not finite")
             if nu == 0:
-                raise ValueError("zero-frequency terms belong in the static part")
+                raise ValueError(f"oscillating term {k}: zero-frequency terms belong "
+                                 "in the static part")
 
     @property
     def is_static(self) -> bool:

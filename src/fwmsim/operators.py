@@ -141,10 +141,6 @@ def overlap(psi: np.ndarray, phi: np.ndarray) -> complex:
     return complex(np.vdot(psi, phi))
 
 
-def is_hermitian(m: np.ndarray) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) < HERMITICITY_ATOL)
-
-
 def require_hermitian(m: np.ndarray, what: str = "operator") -> np.ndarray:
     """Return ``m`` unchanged, raising if it is not hermitian within
     HERMITICITY_ATOL."""

@@ -358,16 +358,27 @@ def build_scheme_frame(params: CircuitParams, scheme: Scheme,
     return frame, det
 
 
+def _level_product(m4: np.ndarray, piece: np.ndarray) -> np.ndarray:
+    """kron(m4, piece) for a 4x4 level matrix as one broadcast multiply: each
+    entry is the single product m4[i, j] * piece[k, l], as in ``np.kron``."""
+    d = piece.shape[0]
+    return (m4[:, None, :, None] * piece[None, :, None, :]).reshape(4 * d, 4 * d)
+
+
 @functools.lru_cache(maxsize=None)
 def _mode_pieces(cutoffs: FockCutoffs) -> tuple[np.ndarray, ...]:
-    """Read-only two-mode factors (n1, n2, q1, q2, q1 q2) on the
-    dim1*dim2 Fock space, with q = a + a^dag; the number operator is
-    a^dag a as a matrix product, like :func:`mode_operator`."""
+    """Read-only pieces (I4 x n1, I4 x n2, q1, q2, I4 x q1 q2) with q = a +
+    a^dag: the parameter-free products on the full space, and the mode
+    quadratures on the dim1*dim2 Fock space that the sigma_x couplings
+    multiply. The number operator is a^dag a as a matrix product, like
+    :func:`mode_operator`."""
     a1, a2 = destroy(cutoffs.dim1), destroy(cutoffs.dim2)
     i1, i2 = np.eye(cutoffs.dim1), np.eye(cutoffs.dim2)
     x1, x2 = a1 + a1.conj().T, a2 + a2.conj().T
-    pieces = (np.kron(a1.conj().T @ a1, i2), np.kron(i1, a2.conj().T @ a2),
-              np.kron(x1, i2), np.kron(i1, x2), np.kron(x1, x2))
+    i4 = np.eye(4)
+    pieces = (np.kron(i4, np.kron(a1.conj().T @ a1, i2)),
+              np.kron(i4, np.kron(i1, a2.conj().T @ a2)),
+              np.kron(x1, i2), np.kron(i1, x2), np.kron(i4, np.kron(x1, x2)))
     for m in pieces:
         m.setflags(write=False)
     return pieces
@@ -390,18 +401,18 @@ def build_full_hamiltonian(params: CircuitParams,
     s1 = table.sigma_x_matrix(1)
     s2 = table.sigma_x_matrix(2)
     n1, n2, q1, q2, q1q2 = _mode_pieces(cutoffs)
-    i4 = np.eye(4)
-    # every term is (4x4 level matrix) x (mode piece); the sums keep the
-    # order of the full-dimension construction, so H is the same bit for bit
-    h = embed_level_matrix(cutoffs, np.diag(es.energies))
-    h = h + params.omega_a1 * np.kron(i4, n1) + params.omega_a2 * np.kron(i4, n2)
-    h = h + params.g1 * np.kron(s1, q1) + params.g2 * np.kron(s2, q2)
+    # every term is (4x4 level matrix) x (mode piece), each entry a single
+    # product; the sums keep the order of the full-dimension construction,
+    # so H is the same bit for bit
+    h = np.diag(np.repeat(es.energies, cutoffs.dim1 * cutoffs.dim2))
+    h = h + params.omega_a1 * n1 + params.omega_a2 * n2
+    h = h + params.g1 * _level_product(s1, q1) + params.g2 * _level_product(s2, q2)
     if params.g2_1:
-        h = h + params.g2_1 * np.kron(s1, q2)
+        h = h + params.g2_1 * _level_product(s1, q2)
     if params.g2_2:
-        h = h + params.g2_2 * np.kron(s2, q1)
+        h = h + params.g2_2 * _level_product(s2, q1)
     if params.g3:
-        h = h + params.g3 * np.kron(i4, q1q2)
+        h = h + params.g3 * q1q2
     osc = []
     for d in drives:
         if d.frequency is None:

@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import fwmsim
@@ -147,11 +149,32 @@ for _name, _times in (("inf", [0.0, np.inf]), ("nan-inside", [0.0, np.nan, 1.0])
                                          1.0, times=t), ValueError)
 
 
+# 1e200 squared overflows in the Magnus commutator, so the generator is not finite
+NON_FINITE_CASES["nan-generator-magnus"] = (
+    lambda: propagate(Hamiltonian(np.diag([0.0, 1e200]), ((0.1 * np.eye(2), 1.0),)),
+                      _PLUS, 1e-200, n_points=2), IntegrationError)
+
+
 @pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
 def test_non_finite_inputs_raise(case):
     call, error = NON_FINITE_CASES[case]
     with np.errstate(all="ignore"), pytest.raises(error):
         call()
+
+
+def _with_entry(value):
+    m = 0.1 * np.eye(2, dtype=complex)
+    m[0, 1] = value
+    return m
+
+
+@pytest.mark.parametrize("matrix, nu, what", [
+    (_with_entry(np.nan), 1.0, "matrix"), (_with_entry(np.inf), 1.0, "matrix"),
+    (0.1 * np.eye(2), np.nan, "frequency"), (0.1 * np.eye(2), np.inf, "frequency")],
+    ids=["nan-matrix", "inf-matrix", "nan-frequency", "inf-frequency"])
+def test_hamiltonian_rejects_non_finite_oscillating_term(matrix, nu, what):
+    with pytest.raises(ValueError, match=f"oscillating term 1: {what}"):
+        Hamiltonian(np.diag([0.0, 1.0]), ((0.1 * np.eye(2), 2.0), (matrix, nu)))
 
 
 def test_trajectory_overlap_traces_and_drift():
@@ -411,7 +434,23 @@ def test_oracle_two_mode_squeeze_weak_drive_agreement():
 
 
 # ---------------------------------------------------------------------------
-# lab-frame Magnus-4 step through eigh, against scipy's Pade expm as oracle
+# lab-frame Magnus-4 step as the Taylor action exp(-i G) psi, against scipy's
+# Pade expm as oracle
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(min_value=1, max_value=16),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       norm1=st.floats(min_value=0.0, max_value=40.0))
+@example(dim=5, seed=0, norm1=0.0)
+def test_expm_action_matches_pade(dim, seed, norm1):
+    rng = np.random.RandomState(seed)
+    gen = _random_hermitian(rng, dim)
+    gen *= norm1 / np.linalg.norm(gen, 1)
+    psi = _random_state(rng, dim)
+    got = dynamics._expm_action(gen, psi)
+    want = expm(-1j * gen) @ psi
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, norm1)
+
 
 def _lab_setup(scheme):
     pt = operating_point(scheme)
@@ -470,6 +509,17 @@ np.save(sys.argv[2], t._pade_states(ham, psi0, np.linspace(0.0, 0.2, 21)))
 
 def test_dynamics_does_not_use_scipy_expm():
     assert "expm" not in vars(dynamics)
+
+
+def test_magnus_propagation_does_not_use_eigh(monkeypatch):
+    ham, psi0 = _lab_setup(Scheme.BEAM_SPLITTER)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("the Magnus step called np.linalg.eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    traj = propagate(ham, psi0, 0.001, n_points=3)
+    assert traj.norm_drift <= 1e-12
 
 
 @pytest.mark.parametrize("scheme", [Scheme.BEAM_SPLITTER, Scheme.TWO_MODE_SQUEEZE,

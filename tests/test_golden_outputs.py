@@ -123,11 +123,15 @@ JOB_SHA256 = {
     "run-interaction-sq2": ("two_mode_squeeze.json", "run", ("--cutoff", "2"), {}, {
         "summary.json": "6df928957ea26c25e928061542759b8a6b7e8e970f3696155c2c601a231a3786",
         "trajectory.csv": "5580103172ccd8bf02bed9ede411f99e90756bb11518129425d9684b584f3617"}),
+    # driven lab runs: summary.json carries norm_drift, which fell (bm 3.2e-15 ->
+    # 5.6e-16, sq1 1.6e-15 -> 4.4e-16) when the Magnus step became the Taylor
+    # action exp(-i G) psi, accurate to about 1e-16 per step against a 40-digit
+    # reference where the eigh step was off by up to 1.5e-15
     "run-lab-bm": ("beam_splitter.json", "run", (), {"simulation": _LAB_SHORT}, {
-        "summary.json": "155287919c0bebc829e0e7f85399e7c2fcc0217737b9e05897069b1334f41738",
+        "summary.json": "a18c84f95b981733cb7619023e4878bd5c91b1bc07cfcbb4f3d5ee452bb77087",
         "trajectory.csv": "fbb80f764d25b054e84e47bde76ec5965fd876827e48e4a75536c96cf0f78da9"}),
     "run-lab-sq1": ("single_mode_squeeze.json", "run", (), {"simulation": _LAB_SHORT}, {
-        "summary.json": "cbe121b5a6ba57fd9fa013f4ed74c8e0c86a8d2ef78fe8c5b07c7daa8dc93c6e",
+        "summary.json": "b15a311b0d97bf0ef3ddf8191c5f006975f2281eed5b37cc35517c31edccfdc1",
         "trajectory.csv": "8762607f21cb06a595bb8a2e3e2470e61abd9dc848334bf4a859d42457437d64"}),
     # static lab Hamiltonian over the whole gate; its norm_drift shows a
     # change in the last bit of the propagated states

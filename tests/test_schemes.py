@@ -8,7 +8,7 @@ import pytest
 
 from fwmsim.circuit import CircuitParams, eigensystem, transition_table
 from fwmsim.errors import FrameError, SchemeError
-from fwmsim.operators import (FockCutoffs, basis_state, embed_level_matrix,
+from fwmsim.operators import (FockCutoffs, basis_state, destroy, embed_level_matrix,
                               mode_operator, product_state)
 from fwmsim.presets import (beam_splitter_point, cross_kerr_point, operating_point,
                             single_mode_squeeze_point, two_mode_squeeze_point)
@@ -192,11 +192,50 @@ def test_full_hamiltonian_equals_matmul_construction(cut, crosstalk):
             assert np.array_equal(m, m_ref) and nu == nu_ref
 
 
+def _kron_full_hamiltonian(params, drives, cut):
+    """Full Hamiltonian with every term an ``np.kron`` of a 4x4 level matrix
+    and a Fock-space piece, summed in the order of the matmul construction."""
+    es = eigensystem(params)
+    table = transition_table(es)
+    s1, s2 = table.sigma_x_matrix(1), table.sigma_x_matrix(2)
+    a1, a2 = destroy(cut.dim1), destroy(cut.dim2)
+    i1, i2, i4 = np.eye(cut.dim1), np.eye(cut.dim2), np.eye(4)
+    q1, q2 = np.kron(a1 + a1.conj().T, i2), np.kron(i1, a2 + a2.conj().T)
+    h = embed_level_matrix(cut, np.diag(es.energies))
+    h = h + params.omega_a1 * np.kron(i4, np.kron(a1.conj().T @ a1, i2)) \
+        + params.omega_a2 * np.kron(i4, np.kron(i1, a2.conj().T @ a2))
+    h = h + params.g1 * np.kron(s1, q1) + params.g2 * np.kron(s2, q2)
+    if params.g2_1:
+        h = h + params.g2_1 * np.kron(s1, q2)
+    if params.g2_2:
+        h = h + params.g2_2 * np.kron(s2, q1)
+    if params.g3:
+        h = h + params.g3 * np.kron(i4, np.kron(a1 + a1.conj().T, a2 + a2.conj().T))
+    return h, [(d.rabi * embed_level_matrix(cut, s1 if d.slot == 1 else s2), d.frequency)
+               for d in drives]
+
+
+@pytest.mark.parametrize("cut", [FockCutoffs(3, 3), FockCutoffs(2, 4), FockCutoffs(1, 1)])
+@pytest.mark.parametrize("crosstalk", [{}, {"g2_1": 0.02, "g2_2": 0.03, "g3": 0.005}])
+def test_full_hamiltonian_bytes_equal_kron_construction(cut, crosstalk):
+    frame, _ = _frame_for(Scheme.BEAM_SPLITTER)
+    for params, drv in ((cross_kerr_point()["params"], ()),
+                        (beam_splitter_point()["params"], lab_drives(frame))):
+        params = dataclasses.replace(params, **crosstalk)
+        ham = build_full_hamiltonian(params, drv, cut)
+        static, osc = _kron_full_hamiltonian(params, drv, cut)
+        assert ham.static.dtype == static.dtype
+        assert ham.static.tobytes() == static.tobytes()
+        assert [(m.tobytes(), nu) for m, nu in ham.osc] == \
+            [(m.tobytes(), nu) for m, nu in osc]
+
+
 def test_full_hamiltonian_mode_pieces_read_only():
     pieces = _mode_pieces(FockCutoffs(3, 2))
     assert pieces is _mode_pieces(FockCutoffs(3, 2))
-    for m in pieces:
-        assert m.shape == (12, 12)
+    # I4 x n1, I4 x n2 and I4 x q1 q2 on the full space, q1 and q2 on the Fock space
+    for m, dim in zip(pieces, (48, 48, 12, 12, 48)):
+        assert m.shape == (dim, dim)
         assert not m.flags.writeable
         with pytest.raises(ValueError):
             m[0, 0] = 1.0
