@@ -52,8 +52,7 @@ def _frame(cfg: ResolvedConfig):
 def _effective_payload(frame, det, ep):
     return {
         "scheme": frame.scheme.value,
-        "detunings_ghz": {"delta1": det.delta1, "delta2": det.delta2,
-                          "delta": det.delta, "delta_f": det.delta_f},
+        "detunings_ghz": dataclasses.asdict(det),
         "effective": {
             "chi_ghz": ep.chi,
             "delta_eps1_ghz": ep.delta_eps1,
@@ -61,8 +60,7 @@ def _effective_payload(frame, det, ep):
             "delta_f_ghz": ep.delta_f,
             "gate_time_ns": ep.gate_time,
         },
-        "couplings_ghz": {"gtilde1": frame.gtilde1, "gtilde2": frame.gtilde2,
-                          "rabi1": frame.rabi1, "rabi2": frame.rabi2},
+        "couplings_ghz": frame.coefficients,
         "drive_frequencies_ghz": {str(k): v for k, v in
                                   frame.drive_frequencies.items()},
         "notes": list(frame.notes),
@@ -138,7 +136,6 @@ def cmd_run(cfg: ResolvedConfig, args) -> int:
     if cfg.simulation["frame"] == "interaction":
         traj = propagate_frame(frame, psi0, duration, times=times, references=refs)
         overlaps = traj.overlaps
-        norms = traj.norms
         final = traj.final_state
     else:
         ham = build_full_hamiltonian(cfg.params, lab_drives(frame), cfg.cutoffs)
@@ -148,25 +145,18 @@ def cmd_run(cfg: ResolvedConfig, args) -> int:
         traj = propagate(ham, psi0, duration, times=times, store_states=True)
         h0 = frame_h0_diagonal(frame)
         overlaps = {label: np.empty(times.size, dtype=complex) for label in refs}
-        norms = traj.norms
         for k, (t, psi_lab) in enumerate(zip(times, traj.states)):
             psi = np.exp(2j * np.pi * h0 * t) * psi_lab
             for label, ref in refs.items():
                 overlaps[label][k] = np.vdot(ref, psi)
         final = np.exp(2j * np.pi * h0 * times[-1]) * traj.states[-1]
 
-    labels = list(refs)
-    header = ["t_ns"]
-    for label in labels:
+    header, columns = ["t_ns"], [times]
+    for label in refs:
         header += [f"re_overlap_{label}", f"im_overlap_{label}"]
+        columns += [overlaps[label].real, overlaps[label].imag]
     header.append("norm")
-    rows = []
-    for k, t in enumerate(times):
-        row = [t]
-        for label in labels:
-            row += [overlaps[label][k].real, overlaps[label][k].imag]
-        row.append(norms[k])
-        rows.append(row)
+    rows = np.column_stack(columns + [traj.norms])
     out_dir = cfg.outputs["dir"]
     csv_path = os.path.join(out_dir, "trajectory.csv")
     write_csv(csv_path, header, rows, cfg.config_hash)

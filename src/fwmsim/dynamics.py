@@ -27,13 +27,14 @@ from .effective import EffectiveParams, canonical_gate_time, effective_params
 from .errors import IntegrationError, OracleError, TrackingError
 from .hamiltonian import Hamiltonian
 from .operators import FockCutoffs, LEVEL_INDEX, basis_state
-from .schemes import DriveSpec, SchemeFrame, build_scheme_frame, static_frame
+from .schemes import SchemeFrame, static_frame
 
 NORM_TOL = 1e-9
 DEFAULT_POINTS = 2001          # >= 2000 samples per gate time
 STEP_FREQ_FACTOR = 50.0        # integrator step <= 1 / (50 * fastest frequency)
 RAMP_STEPS = 10                # coupling ramp of the cross-Kerr branch tracking
 SCAN_POINTS = 41               # four-photon detuning grid of the pair oracle
+MAX_SUBSTEPS = 2.0 ** 53      # the most Magnus steps a float64 counts exactly
 _TAYLOR_TERMS = 30             # cap on the Taylor terms of one exp(-i G / s) piece
 _ROUNDOFF_SQ = (2.0 ** -53) ** 2  # squared unit roundoff of float64
 
@@ -59,11 +60,16 @@ class FidelityResult:
     leakage: float
 
 
-def _check_times(times: np.ndarray):
+def _sample_times(t_end: float, times, n_points: int) -> np.ndarray:
+    """``times``, or ``n_points`` samples over [0, t_end], checked to be
+    finite, non-negative and strictly increasing."""
+    times = np.linspace(0.0, t_end, n_points) if times is None \
+        else np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("times must not be empty")
     if not np.all(np.isfinite(times)) or times[0] < 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be finite, non-negative and strictly increasing")
+    return times
 
 
 def _trajectory(times, states_at, references, store_states):
@@ -165,14 +171,12 @@ def propagate(ham: Hamiltonian, psi0: np.ndarray, t_end: float, *,
     Static Hamiltonians are evolved exactly. Time-dependent ones use the
     Magnus-4 stepper with step <= 1/(50 * fastest frequency); with
     ``check_convergence`` the step is halved until the final-state overlaps
-    move by less than 1e-8, as the accuracy contract requires.
+    move by less than 1e-8, as the accuracy contract requires. A zero or
+    non-finite step, or more than MAX_SUBSTEPS steps, raise IntegrationError.
     """
     if not np.abs(np.linalg.norm(psi0) - 1.0) <= 1e-9:  # also a NaN state
         raise ValueError("initial state must be normalized")
-    if times is None:
-        times = np.linspace(0.0, t_end, n_points)
-    times = np.asarray(times, dtype=float)
-    _check_times(times)
+    times = _sample_times(t_end, times, n_points)
 
     if ham.is_static:
         return _trajectory(times, evolve_static(ham.static, psi0, times),
@@ -181,6 +185,9 @@ def propagate(ham: Hamiltonian, psi0: np.ndarray, t_end: float, *,
     substep = 1.0 / (STEP_FREQ_FACTOR * max(ham.max_frequency, 1e-12))
     if step is not None:
         substep = min(substep, step)
+    if not 0.0 < substep < math.inf or float(times[-1] - times[0]) / substep > MAX_SUBSTEPS:
+        raise IntegrationError(f"frequency scale {ham.max_frequency:.4g} GHz needs a zero "
+                               f"Magnus step or more than {MAX_SUBSTEPS:.4g} of them")
     traj = _trajectory(times, _magnus_states(ham, psi0, times, substep),
                        references, store_states)
     if not check_convergence:
@@ -208,10 +215,7 @@ def propagate_frame(frame: SchemeFrame, psi0: np.ndarray, t_end: float, *,
     exact for every scheme frame (their time dependence is a single
     oscillating term), so no step-size control is involved.
     """
-    if times is None:
-        times = np.linspace(0.0, t_end, n_points)
-    times = np.asarray(times, dtype=float)
-    _check_times(times)
+    times = _sample_times(t_end, times, n_points)
     h_static, g_diag = static_frame(frame)
     states = (np.exp(-2j * np.pi * g_diag * t) * inner
               for t, inner in zip(times, evolve_static(h_static, psi0, times)))
@@ -266,16 +270,6 @@ def track_branch(h_full: np.ndarray, h_base: np.ndarray,
         v = u[:, k]
         energy = float(w[k])
     return energy, v
-
-
-def _rebuild(frame: SchemeFrame, cutoffs: FockCutoffs) -> SchemeFrame:
-    det = frame.detunings
-    drives = tuple(DriveSpec(slot=s, rabi=(frame.rabi1, frame.rabi2)[s - 1],
-                             detuning=(det.delta1, det.delta2)[s - 1])
-                   for s in frame.spec.drives)
-    rebuilt, _ = build_scheme_frame(frame.params, frame.scheme, drives, cutoffs,
-                                    detunings=det, delta_f=det.delta_f)
-    return rebuilt
 
 
 def _cross_kerr_oracle(frame: SchemeFrame) -> EffectiveParams:
@@ -368,9 +362,10 @@ def dressed_energy_oracle(frame: SchemeFrame) -> EffectiveParams:
     ({1,0}/{0,1} for the beam splitter, {0,0}/{1,1} for the two-mode squeeze,
     {0}/{2} with the sqrt(2) matrix element divided out for the single-mode
     squeeze) while scanning the four-photon detuning over SCAN_POINTS
-    points. Both run at the scheme's own small ``oracle_cutoffs``.
+    points. Both run on ``frame.at_cutoffs`` of the scheme's own small
+    ``oracle_cutoffs``.
     """
-    work = _rebuild(frame, frame.spec.oracle_cutoffs)
+    work = frame.at_cutoffs(frame.spec.oracle_cutoffs)
     if work.spec.oracle_pair is None:
         return _cross_kerr_oracle(work)
     return _pair_oracle(work)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import SingularityError, TruncationError
-from .operators import FockCutoffs, destroy
+from .operators import FockCutoffs, fock_ladders
 from .schemes import SPECS, Detunings, Scheme, SchemeFrame
 
 SINGULARITY_TOL = 1e-12
@@ -144,15 +144,8 @@ class IdealOperation:
     truncation_error: float | None
 
 
-def _two_mode_generators(cutoffs: FockCutoffs):
-    d1, d2 = cutoffs.dim1, cutoffs.dim2
-    a1 = np.kron(destroy(d1), np.eye(d2, dtype=complex))
-    a2 = np.kron(np.eye(d1, dtype=complex), destroy(d2))
-    return a1, a2
-
-
 def _ideal_unitary(spec: IdealOpSpec, cutoffs: FockCutoffs) -> np.ndarray:
-    a1, a2 = _two_mode_generators(cutoffs)
+    a1, a2 = fock_ladders(cutoffs)
     phi, ph = spec.angle, spec.phase
     if spec.kind == "beam_splitter":
         gen = np.exp(1j * ph) * (a1.conj().T @ a2) - np.exp(-1j * ph) * (a2.conj().T @ a1)

@@ -7,9 +7,12 @@ Index convention, used by every array and file format in this package:
 with the four system levels ordered ``a=0, b=1, c=2, d=3``. The inverse map
 is one cached table, :attr:`FockCutoffs.basis`, whose column i is the
 (level, n1, n2) of index i; code that needs those per index reads them off
-it as array expressions. States are 1-D complex ``numpy`` arrays, operators
-are square complex arrays. All functions here are pure; nothing mutates its
-inputs.
+it as array expressions. The forward layout lives here too:
+:func:`level_product` is the one assembler of a (4x4 level matrix) x
+(Fock-space piece) product, and every full-space operator of the package is
+built from it and the two cached Fock ladders of :func:`fock_ladders`.
+States are 1-D complex ``numpy`` arrays, operators are square complex
+arrays. All functions here are pure; nothing mutates its inputs.
 """
 
 from __future__ import annotations
@@ -69,6 +72,25 @@ def destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
 
 
+def level_product(m4: np.ndarray, piece: np.ndarray) -> np.ndarray:
+    """kron(m4, piece) for a 4x4 level matrix and a square Fock-space piece,
+    as one broadcast multiply: each entry is the single product
+    m4[i, j] * piece[k, l], as in ``np.kron``, so the bytes are the same."""
+    d = piece.shape[0]
+    return (m4[:, None, :, None] * piece[None, :, None, :]).reshape(4 * d, 4 * d)
+
+
+@functools.lru_cache(maxsize=None)
+def fock_ladders(cutoffs: FockCutoffs) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only annihilators (a x I, I x a) of modes 1 and 2 on the
+    dim1*dim2 two-mode Fock space."""
+    i1, i2 = np.eye(cutoffs.dim1, dtype=complex), np.eye(cutoffs.dim2, dtype=complex)
+    ladders = (np.kron(destroy(cutoffs.dim1), i2), np.kron(i1, destroy(cutoffs.dim2)))
+    for a in ladders:
+        a.setflags(write=False)
+    return ladders
+
+
 def mode_operator(cutoffs: FockCutoffs, mode: int, kind: str) -> np.ndarray:
     """Embed a ladder operator of one resonator mode in the full space.
 
@@ -78,24 +100,16 @@ def mode_operator(cutoffs: FockCutoffs, mode: int, kind: str) -> np.ndarray:
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
     if kind not in ("annihilate", "create", "number"):
         raise ValueError(f"unknown operator kind {kind!r}")
-    dim = cutoffs.dim1 if mode == 1 else cutoffs.dim2
-    a = destroy(dim)
+    a = fock_ladders(cutoffs)[mode - 1]
     local = {"annihilate": a, "create": a.conj().T, "number": a.conj().T @ a}[kind]
-    i4 = np.eye(4, dtype=complex)
-    if mode == 1:
-        full = np.kron(i4, np.kron(local, np.eye(cutoffs.dim2, dtype=complex)))
-    else:
-        full = np.kron(i4, np.kron(np.eye(cutoffs.dim1, dtype=complex), local))
-    return full
+    return level_product(np.eye(4, dtype=complex), local)
 
 
 def transition_operator(cutoffs: FockCutoffs, i: str | int, j: str | int) -> np.ndarray:
     """|i><j| on the four-level factor, identity on both Fock factors."""
-    qi = LEVEL_INDEX[i] if isinstance(i, str) else i
-    qj = LEVEL_INDEX[j] if isinstance(j, str) else j
     m = np.zeros((4, 4), dtype=complex)
-    m[qi, qj] = 1.0
-    return np.kron(m, np.eye(cutoffs.dim1 * cutoffs.dim2, dtype=complex))
+    m[LEVEL_INDEX.get(i, i), LEVEL_INDEX.get(j, j)] = 1.0
+    return embed_level_matrix(cutoffs, m)
 
 
 def embed_level_matrix(cutoffs: FockCutoffs, m4: np.ndarray) -> np.ndarray:
@@ -103,7 +117,7 @@ def embed_level_matrix(cutoffs: FockCutoffs, m4: np.ndarray) -> np.ndarray:
     m4 = np.asarray(m4, dtype=complex)
     if m4.shape != (4, 4):
         raise ValueError("level operator must be 4x4")
-    return np.kron(m4, np.eye(cutoffs.dim1 * cutoffs.dim2, dtype=complex))
+    return level_product(m4, np.eye(cutoffs.dim1 * cutoffs.dim2, dtype=complex))
 
 
 def basis_state(cutoffs: FockCutoffs, level: str | int, n1: int, n2: int) -> np.ndarray:
@@ -125,7 +139,7 @@ def product_state(cutoffs: FockCutoffs, level: str | int,
     v2[: amps2.size] = amps2
     lvl = np.zeros(4, dtype=complex)
     lvl[LEVEL_INDEX[level] if isinstance(level, str) else level] = 1.0
-    psi = np.kron(lvl, np.kron(v1, v2))
+    psi = np.outer(lvl, np.kron(v1, v2)).ravel()
     nrm = np.linalg.norm(psi)
     if nrm == 0:
         raise ValueError("zero state")

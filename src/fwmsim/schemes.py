@@ -27,8 +27,8 @@ import numpy as np
 from .circuit import CircuitParams, EigenSystem, eigensystem, transition_table
 from .errors import FrameError, SchemeError, SingularityError
 from .hamiltonian import Hamiltonian
-from .operators import (FockCutoffs, LEVELS, LEVEL_INDEX, destroy, embed_level_matrix,
-                        mode_operator, transition_operator)
+from .operators import (FockCutoffs, LEVELS, LEVEL_INDEX, embed_level_matrix, fock_ladders,
+                        level_product, transition_operator)
 
 DISPERSIVE_THRESHOLD = 0.25  # largest amplitude/detuning ratio the report passes
 
@@ -211,6 +211,18 @@ class SchemeFrame:
     def spec(self) -> SchemeSpec:
         return SPECS[self.scheme]
 
+    @property
+    def coefficients(self) -> dict:
+        """The named frame-term coefficients (GHz)."""
+        return {"rabi1": self.rabi1, "rabi2": self.rabi2, "gtilde1": self.gtilde1,
+                "gtilde2": self.gtilde2}
+
+    def at_cutoffs(self, cutoffs: FockCutoffs) -> SchemeFrame:
+        """This frame with its matrices assembled at other Fock cutoffs."""
+        h_i0, v_static, osc = _frame_matrices(self.spec, self.detunings, cutoffs,
+                                              self.coefficients)
+        return replace(self, cutoffs=cutoffs, h_i0=h_i0, v_static=v_static, osc_terms=osc)
+
     @functools.cached_property
     def corotating_system(self) -> tuple[np.ndarray, np.ndarray]:
         """The row system of :func:`static_frame`, built once per frame."""
@@ -330,39 +342,38 @@ def build_scheme_frame(params: CircuitParams, scheme: Scheme,
                          f"matched value {matched:.6g} GHz")
         notes.append(f"drive-{slot} frequency from four-photon matching: {matched:.6g} GHz")
 
-    # assemble the frame matrices
-    a1 = mode_operator(cutoffs, 1, "annihilate")
-    a2 = mode_operator(cutoffs, 2, "annihilate")
-    ladders = {"a1": a1, "a2": a2, "a2dag": a2.conj().T}
     coefs = {"rabi1": rabi1, "rabi2": rabi2, "gtilde1": gt1, "gtilde2": gt2}
+    h_i0, v_static, osc = _frame_matrices(spec, det, cutoffs, coefs)
+    return SchemeFrame(
+        scheme=scheme, cutoffs=cutoffs, ground_level=spec.levels[0],
+        h_i0=h_i0, v_static=v_static, osc_terms=osc, detunings=det,
+        gtilde1=gt1, gtilde2=gt2, rabi1=rabi1, rabi2=rabi2,
+        drive_frequencies=freqs, eigen=es, params=params, notes=tuple(notes)), det
+
+
+def _frame_matrices(spec: SchemeSpec, det: Detunings, cutoffs: FockCutoffs,
+                    coefs: dict) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(h_i0, v_static, osc_terms) of a frame. Each term is its coefficient
+    times the level product of its pair sigmas and its Fock ladder."""
+    a1, a2 = fock_ladders(cutoffs)
+    ladders = {None: np.eye(cutoffs.dim1 * cutoffs.dim2, dtype=complex),
+               "a1": a1, "a2": a2, "a2dag": a2.conj().T}
 
     def term(coef, ladder, pairs):
-        s = functools.reduce(np.add, (transition_operator(cutoffs, *p) for p in pairs))
-        return coefs[coef] * (s if ladder is None else ladders[ladder] @ s)
+        sigmas = np.zeros((4, 4), dtype=complex)
+        for i, j in pairs:
+            sigmas[LEVEL_INDEX[i], LEVEL_INDEX[j]] = 1.0
+        return coefs[coef] * level_product(sigmas, ladders[ladder])
 
     _, l1, l2, l3 = spec.levels
     h_i0 = (-det.delta1 * transition_operator(cutoffs, l1, l1)
             - det.delta2 * transition_operator(cutoffs, l2, l2)
             - det.delta * transition_operator(cutoffs, l3, l3))
     v = functools.reduce(np.add, (term(*t) for t in spec.v_terms))
-    v_static = v + v.conj().T
     osc = ()
     if spec.osc_term and coefs[spec.osc_term[0]]:
-        osc = ((term(*spec.osc_term), df),)
-
-    frame = SchemeFrame(
-        scheme=scheme, cutoffs=cutoffs, ground_level=spec.levels[0],
-        h_i0=h_i0, v_static=v_static, osc_terms=osc, detunings=det,
-        gtilde1=gt1, gtilde2=gt2, rabi1=rabi1, rabi2=rabi2,
-        drive_frequencies=freqs, eigen=es, params=params, notes=tuple(notes))
-    return frame, det
-
-
-def _level_product(m4: np.ndarray, piece: np.ndarray) -> np.ndarray:
-    """kron(m4, piece) for a 4x4 level matrix as one broadcast multiply: each
-    entry is the single product m4[i, j] * piece[k, l], as in ``np.kron``."""
-    d = piece.shape[0]
-    return (m4[:, None, :, None] * piece[None, :, None, :]).reshape(4 * d, 4 * d)
+        osc = ((term(*spec.osc_term), det.delta_f),)
+    return h_i0, v + v.conj().T, osc
 
 
 @functools.lru_cache(maxsize=None)
@@ -372,13 +383,11 @@ def _mode_pieces(cutoffs: FockCutoffs) -> tuple[np.ndarray, ...]:
     quadratures on the dim1*dim2 Fock space that the sigma_x couplings
     multiply. The number operator is a^dag a as a matrix product, like
     :func:`mode_operator`."""
-    a1, a2 = destroy(cutoffs.dim1), destroy(cutoffs.dim2)
-    i1, i2 = np.eye(cutoffs.dim1), np.eye(cutoffs.dim2)
-    x1, x2 = a1 + a1.conj().T, a2 + a2.conj().T
+    a1, a2 = fock_ladders(cutoffs)
+    q1, q2 = a1 + a1.conj().T, a2 + a2.conj().T
     i4 = np.eye(4)
-    pieces = (np.kron(i4, np.kron(a1.conj().T @ a1, i2)),
-              np.kron(i4, np.kron(i1, a2.conj().T @ a2)),
-              np.kron(x1, i2), np.kron(i1, x2), np.kron(i4, np.kron(x1, x2)))
+    pieces = (level_product(i4, a1.conj().T @ a1), level_product(i4, a2.conj().T @ a2),
+              q1, q2, level_product(i4, q1 @ q2))
     for m in pieces:
         m.setflags(write=False)
     return pieces
@@ -406,11 +415,11 @@ def build_full_hamiltonian(params: CircuitParams,
     # so H is the same bit for bit
     h = np.diag(np.repeat(es.energies, cutoffs.dim1 * cutoffs.dim2))
     h = h + params.omega_a1 * n1 + params.omega_a2 * n2
-    h = h + params.g1 * _level_product(s1, q1) + params.g2 * _level_product(s2, q2)
+    h = h + params.g1 * level_product(s1, q1) + params.g2 * level_product(s2, q2)
     if params.g2_1:
-        h = h + params.g2_1 * _level_product(s1, q2)
+        h = h + params.g2_1 * level_product(s1, q2)
     if params.g2_2:
-        h = h + params.g2_2 * _level_product(s2, q1)
+        h = h + params.g2_2 * level_product(s2, q1)
     if params.g3:
         h = h + params.g3 * q1q2
     osc = []
@@ -626,10 +635,8 @@ def dispersive_check(frame: SchemeFrame) -> DispersiveReport:
         for i, j in pairs:
             ratio_entry(f"mode{mode} {i}{j} single-photon", g, lvl[i] - lvl[j])
     # two-photon paths: amplitude product over detuning product delta_k * delta
-    values = {"rabi1": frame.rabi1, "rabi2": frame.rabi2, "gtilde1": frame.gtilde1,
-              "gtilde2": frame.gtilde2}
     for label, factors, k in spec.two_photon:
-        amp = math.prod(values[f] for f in factors)
+        amp = math.prod(frame.coefficients[f] for f in factors)
         denom = (d.delta1, d.delta2)[k - 1] * d.delta
         if amp:
             ratio_entry(label, amp, denom)

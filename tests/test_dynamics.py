@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,17 @@ def test_non_finite_inputs_raise(case):
     call, error = NON_FINITE_CASES[case]
     with np.errstate(all="ignore"), pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("entry", [1e308, 1e150], ids=["step-overflow", "too-many-steps"])
+def test_magnus_step_rule_rejects_unreachable_step(entry):
+    # 50 * 1e308 overflows to an infinite scale and a zero step; 1e150 over
+    # 1 ns asks for 5e151 steps, beyond what a float64 counts exactly
+    ham = Hamiltonian(np.diag([0.0, entry]), ((0.1 * np.eye(2), 1.0),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="frequency scale"):
+            propagate(ham, _PLUS, 1.0, n_points=2)
 
 
 def _with_entry(value):
@@ -329,7 +341,7 @@ def test_oracle_zero_couplings_exactly_zero():
                                     Scheme.SINGLE_MODE_SQUEEZE], ids=lambda s: s.value)
 def test_pair_oracle_builds_frame_system_once(scheme, monkeypatch):
     # every scan point solves the co-rotating frame, but the row system is
-    # the rebuilt frame's, built once
+    # the oracle-cutoff frame's, built once
     built, solves = [], []
     real_system, real_solve = schemes._corotating_system, dynamics.static_frame
     monkeypatch.setattr(schemes, "_corotating_system",

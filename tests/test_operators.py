@@ -4,9 +4,9 @@ Kronecker embedding order, overlaps."""
 import numpy as np
 import pytest
 
-from fwmsim.operators import (FockCutoffs, basis_state, destroy, mode_operator,
-                              overlap, product_state, require_hermitian,
-                              transition_operator)
+from fwmsim.operators import (FockCutoffs, basis_state, destroy, fock_ladders,
+                              level_product, mode_operator, overlap, product_state,
+                              require_hermitian, transition_operator)
 
 CUT = FockCutoffs(2, 3)
 
@@ -130,3 +130,29 @@ def test_hermiticity_helpers():
     assert require_hermitian(h) is h
     with pytest.raises(ValueError):
         require_hermitian(h + np.array([[0, 1e-9], [0, 0]]))
+
+
+@pytest.mark.parametrize("kind", ["complex", "real", "signed-zero"])
+def test_level_product_bytes_equal_kron(kind):
+    rng = np.random.RandomState(11)
+    m4, piece = rng.randn(4, 4), rng.randn(6, 6)
+    if kind == "complex":
+        m4, piece = m4 + 1j * rng.randn(4, 4), piece - 1j * rng.randn(6, 6)
+    if kind == "signed-zero":
+        m4[rng.rand(4, 4) < 0.5] = -0.0
+        piece = (piece * (rng.rand(6, 6) < 0.5)).astype(complex).conj()
+    product = level_product(m4, piece)
+    assert product.dtype == np.kron(m4, piece).dtype
+    assert product.tobytes() == np.kron(m4, piece).tobytes()
+
+
+def test_fock_ladders_cached_and_read_only():
+    cut = FockCutoffs(3, 2)
+    a1, a2 = fock_ladders(cut)
+    assert all(x is y for x, y in zip(fock_ladders(FockCutoffs(3, 2)), (a1, a2)))
+    assert np.array_equal(a1, np.kron(destroy(4), np.eye(3)))
+    assert np.array_equal(a2, np.kron(np.eye(4), destroy(3)))
+    for a in (a1, a2):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 1] = 2.0

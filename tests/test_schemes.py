@@ -2,6 +2,7 @@
 frames, lab-frame correspondence, dispersive checks."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -239,6 +240,68 @@ def test_full_hamiltonian_mode_pieces_read_only():
         assert not m.flags.writeable
         with pytest.raises(ValueError):
             m[0, 0] = 1.0
+
+
+FRAME_CUTOFFS = [FockCutoffs(1, 1), FockCutoffs(2, 1), FockCutoffs(3, 3), FockCutoffs(4, 2)]
+
+
+def _frame_bytes(frame):
+    return (frame.h_i0.tobytes(), frame.v_static.tobytes(),
+            [(m.tobytes(), nu) for m, nu in frame.osc_terms])
+
+
+@pytest.mark.parametrize("cut", FRAME_CUTOFFS, ids=str)
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.value)
+def test_at_cutoffs_bytes_equal_fresh_frame(scheme, cut):
+    frame, _ = _frame_for(scheme)
+    moved = frame.at_cutoffs(cut)
+    fresh, _ = _frame_for(scheme, cut)
+    assert moved.cutoffs == cut
+    assert _frame_bytes(moved) == _frame_bytes(fresh)
+    assert moved.detunings == fresh.detunings and moved.coefficients == fresh.coefficients
+    assert moved.corotating_system[0].tobytes() == fresh.corotating_system[0].tobytes()
+
+
+def _matmul_frame_matrices(frame):
+    """(h_i0, v_static, osc_terms) from ``np.kron`` embeddings and
+    full-dimension matrix products: each term is its coefficient times the
+    full ladder operator times the summed full transition operators."""
+    cut, spec = frame.cutoffs, frame.spec
+    i4, i1, i2 = (np.eye(d, dtype=complex) for d in (4, cut.dim1, cut.dim2))
+    fock = np.eye(cut.dim1 * cut.dim2, dtype=complex)
+
+    def sigma(i, j):
+        m = np.zeros((4, 4), dtype=complex)
+        m["abcd".index(i), "abcd".index(j)] = 1.0
+        return np.kron(m, fock)
+
+    a1 = np.kron(i4, np.kron(destroy(cut.dim1), i2))
+    a2 = np.kron(i4, np.kron(i1, destroy(cut.dim2)))
+    ladders = {"a1": a1, "a2": a2, "a2dag": a2.conj().T}
+    coefs = frame.coefficients
+
+    def term(coef, ladder, pairs):
+        s = functools.reduce(np.add, (sigma(*p) for p in pairs))
+        return coefs[coef] * (s if ladder is None else ladders[ladder] @ s)
+
+    det = frame.detunings
+    _, l1, l2, l3 = spec.levels
+    h_i0 = (-det.delta1 * sigma(l1, l1) - det.delta2 * sigma(l2, l2)
+            - det.delta * sigma(l3, l3))
+    v = functools.reduce(np.add, (term(*t) for t in spec.v_terms))
+    osc = ()
+    if spec.osc_term and coefs[spec.osc_term[0]]:
+        osc = ((term(*spec.osc_term), det.delta_f),)
+    return h_i0, v + v.conj().T, osc
+
+
+@pytest.mark.parametrize("cut", FRAME_CUTOFFS, ids=str)
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.value)
+def test_frame_matrices_equal_matmul_construction(scheme, cut):
+    frame, _ = _frame_for(scheme, cut)
+    h_i0, v_static, osc = _matmul_frame_matrices(frame)
+    assert _frame_bytes(frame) == (h_i0.tobytes(), v_static.tobytes(),
+                                   [(m.tobytes(), nu) for m, nu in osc])
 
 
 def test_full_hamiltonian_requires_drive_frequencies():
