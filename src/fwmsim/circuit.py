@@ -305,9 +305,9 @@ class EnergySweep:
     energies: np.ndarray     # shape (points, 4), columns E_a..E_d
     crossings: tuple         # ((pair, b0_left, b0_right), ...)
 
-    def rows(self):
-        for i in range(self.b0.size):
-            yield (self.b0[i], *self.energies[i])
+    def rows(self) -> np.ndarray:
+        """(points x 5) table: b0, then E_a..E_d."""
+        return np.column_stack((self.b0, self.energies))
 
 
 def energy_sweep(params: CircuitParams, b0_range: tuple[float, float],

@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__
 from .circuit import energy_sweep
 from .config import MAX_ABS, ResolvedConfig, load_config
-from .dynamics import dressed_energy_oracle, gate_fidelity, propagate, propagate_frame
+from .dynamics import (block_overlaps, dressed_energy_oracle, gate_fidelity, propagate,
+                       propagate_frame, time_blocks)
 from .effective import controlled_phase_targets, effective_params
 from .errors import ConfigError, FwmsimError, IntegrationError, NumericError, SchemeError
 from .io import format_frequency, write_csv, write_json
@@ -143,13 +144,13 @@ def cmd_run(cfg: ResolvedConfig, args) -> int:
             raise IntegrationError(f"lab frequency scale {ham.max_frequency:.4g} GHz is "
                                    f"beyond {MAX_ABS:g} GHz")
         traj = propagate(ham, psi0, duration, times=times, store_states=True)
-        h0 = frame_h0_diagonal(frame)
+        phase = 2j * np.pi * frame_h0_diagonal(frame)
         overlaps = {label: np.empty(times.size, dtype=complex) for label in refs}
-        for k, (t, psi_lab) in enumerate(zip(times, traj.states)):
-            psi = np.exp(2j * np.pi * h0 * t) * psi_lab
+        for rows in time_blocks(times.size):
+            psi = np.exp(np.outer(times[rows], phase)) * traj.states[rows]
             for label, ref in refs.items():
-                overlaps[label][k] = np.vdot(ref, psi)
-        final = np.exp(2j * np.pi * h0 * times[-1]) * traj.states[-1]
+                overlaps[label][rows] = block_overlaps(psi, ref)
+        final = psi[-1]
 
     header, columns = ["t_ns"], [times]
     for label in refs:
@@ -195,7 +196,7 @@ def cmd_sweep(cfg: ResolvedConfig, args) -> int:
         seed=cfg.seed, base_params=cfg.params, cutoffs=cfg.cutoffs,
         gate_time_bounds=tuple(cfg.sweep["gate_time_ns"]),
         time_points=cfg.optimize["time_points"]) for e_mx in values]
-    rows = [(r.e_mx, r.fidelity, r.best_gate_time, *r.best_params) for r in results]
+    rows = np.array([(r.e_mx, r.fidelity, r.best_gate_time, *r.best_params) for r in results])
     path = os.path.join(out_dir, "fidelity_sweep.csv")
     write_csv(path, ["emx_GHz", "fidelity", "gate_time_ns", "EJ1", "EJ2", "b0"],
               rows, cfg.config_hash)

@@ -10,9 +10,14 @@ hermitian generator G = i Omega, is applied to the state as a Taylor series
 summed to roundoff over ceil(||G||_1) pieces, from matrix-vector products
 alone (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488), so every step
 is unitary to roundoff. Scheme frames additionally factorize exactly through
-their static co-rotating frame. Sample times must be finite, and every state
-must keep its norm within NORM_TOL (a NaN state fails too). A dressed branch
-is the eigenvector of largest overlap, at least 0.5, with its bare label.
+their static co-rotating frame. States are propagated and traced in blocks
+of at most _STATE_BLOCK sample times, one state per row, by stacked
+matrix-vector and vector-vector products: each row gets the arithmetic of
+``u @ v``, ``np.linalg.norm`` and ``np.vdot`` on that one state, so the
+results do not depend on the block size. Sample times must be finite, and
+every state must keep its norm within NORM_TOL (a NaN state fails too). A
+dressed branch is the eigenvector of largest overlap, at least 0.5, with its
+bare label.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ SCAN_POINTS = 41               # four-photon detuning grid of the pair oracle
 MAX_SUBSTEPS = 2.0 ** 53      # the most Magnus steps a float64 counts exactly
 _TAYLOR_TERMS = 30             # cap on the Taylor terms of one exp(-i G / s) piece
 _ROUNDOFF_SQ = (2.0 ** -53) ** 2  # squared unit roundoff of float64
+_STATE_BLOCK = 128             # sample times per block of states (bounds memory)
 
 
 @dataclass(frozen=True)
@@ -47,7 +53,7 @@ class Trajectory:
     overlaps: dict            # label -> complex ndarray, one value per time
     norms: np.ndarray
     final_state: np.ndarray
-    states: list | None = None
+    states: np.ndarray | None = None   # (times x dim), one state per row
 
     @property
     def norm_drift(self) -> float:
@@ -72,33 +78,61 @@ def _sample_times(t_end: float, times, n_points: int) -> np.ndarray:
     return times
 
 
-def _trajectory(times, states_at, references, store_states):
+def time_blocks(n_times: int) -> list[slice]:
+    """Consecutive slices of at most _STATE_BLOCK sample indices over range(n_times)."""
+    return [slice(k, min(k + _STATE_BLOCK, n_times))
+            for k in range(0, n_times, _STATE_BLOCK)]
+
+
+def block_overlaps(block: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """<ref|psi> for every state row psi of ``block``: one stacked vector
+    product per row, summed as ``np.vdot(ref, psi)`` sums (a GEMM would not)."""
+    return (block[:, None, :] @ ref.conj()[:, None])[:, 0, 0]
+
+
+def _trajectory(times, dim, blocks, references, store_states):
+    """Norms and overlap traces of the states in ``blocks``: arrays of
+    consecutive states, one per row, in the order of ``times``. With
+    ``store_states`` every state is kept in one (times x dim) array.
+
+    Each norm is sqrt(re.re + im.im) on the strided real and imaginary
+    views, as ``np.linalg.norm`` takes it, as one stacked product per row.
+    """
     refs = references or {}
     overlaps = {label: np.empty(len(times), dtype=complex) for label in refs}
     norms = np.empty(len(times))
-    kept = [] if store_states else None
-    psi = None
-    for k, psi in enumerate(states_at):
-        norms[k] = np.linalg.norm(psi)
+    states = np.empty((len(times), dim), dtype=complex) if store_states else None
+    stop = 0
+    for block in blocks:
+        rows = slice(stop, stop + len(block))
+        re, im = block.real[:, None, :], block.imag[:, None, :]
+        norms[rows] = np.sqrt((re @ re.transpose(0, 2, 1)
+                               + im @ im.transpose(0, 2, 1))[:, 0, 0])
         for label, ref in refs.items():
-            overlaps[label][k] = np.vdot(ref, psi)
-        if kept is not None:
-            kept.append(psi.copy())
+            overlaps[label][rows] = block_overlaps(block, ref)
+        if states is not None:
+            states[rows] = block
+        stop = rows.stop
     drift = float(np.max(np.abs(norms - 1.0)))
     if not drift <= NORM_TOL:  # also a NaN state
         raise IntegrationError(
             f"norm drift {drift:.3e} exceeds {NORM_TOL:g}; "
             f"worst point t = {times[int(np.argmax(np.abs(norms - 1.0)))]:.6g} ns")
     return Trajectory(times=np.asarray(times, dtype=float), overlaps=overlaps,
-                      norms=norms, final_state=psi, states=kept)
+                      norms=norms, final_state=block[-1].copy(), states=states)
 
 
 def evolve_static(h: np.ndarray, psi0: np.ndarray, times: np.ndarray):
-    """Exact eigendecomposition propagator for a static Hamiltonian."""
+    """Exact eigendecomposition propagator for a static Hamiltonian.
+
+    Yields the states at ``times`` in blocks of at most _STATE_BLOCK rows,
+    one state per row, each row the product ``u @ (exp(-2 pi i w t) * c0)``.
+    """
     w, u = np.linalg.eigh(h)
     c0 = u.conj().T @ psi0
-    for t in times:
-        yield u @ (np.exp(-2j * np.pi * w * t) * c0)
+    phase = -2j * np.pi * w
+    for rows in time_blocks(times.size):
+        yield (u @ (np.exp(np.outer(times[rows], phase)) * c0)[:, :, None])[:, :, 0]
 
 
 def _expm_action(gen: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -133,7 +167,7 @@ def _expm_action(gen: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 def _magnus_states(ham: Hamiltonian, psi0: np.ndarray, times: np.ndarray,
                    substep: float):
-    """Magnus-4 states at ``times``.
+    """Magnus-4 states at ``times``, as blocks of one row each.
 
     With A = -i 2 pi H at the Gauss nodes, Omega = dt/2 (A1 + A2) +
     sqrt(3)/12 dt^2 [A2, A1] equals -i G for the hermitian generator
@@ -144,7 +178,7 @@ def _magnus_states(ham: Hamiltonian, psi0: np.ndarray, times: np.ndarray,
     c2 = 0.5 + math.sqrt(3.0) / 6.0
     psi = psi0.astype(complex).copy()
     t = float(times[0])
-    yield psi
+    yield psi[None, :]
     for t_next in times[1:]:
         span = float(t_next) - t
         n_sub = max(1, int(math.ceil(span / substep)))
@@ -159,7 +193,7 @@ def _magnus_states(ham: Hamiltonian, psi0: np.ndarray, times: np.ndarray,
             gen = first * (h1 + h2) - second * (y.conj().T - y)
             psi = _expm_action(gen, psi)
         t = float(t_next)
-        yield psi
+        yield psi[None, :]
 
 
 def propagate(ham: Hamiltonian, psi0: np.ndarray, t_end: float, *,
@@ -179,7 +213,7 @@ def propagate(ham: Hamiltonian, psi0: np.ndarray, t_end: float, *,
     times = _sample_times(t_end, times, n_points)
 
     if ham.is_static:
-        return _trajectory(times, evolve_static(ham.static, psi0, times),
+        return _trajectory(times, psi0.size, evolve_static(ham.static, psi0, times),
                            references, store_states)
 
     substep = 1.0 / (STEP_FREQ_FACTOR * max(ham.max_frequency, 1e-12))
@@ -188,12 +222,13 @@ def propagate(ham: Hamiltonian, psi0: np.ndarray, t_end: float, *,
     if not 0.0 < substep < math.inf or float(times[-1] - times[0]) / substep > MAX_SUBSTEPS:
         raise IntegrationError(f"frequency scale {ham.max_frequency:.4g} GHz needs a zero "
                                f"Magnus step or more than {MAX_SUBSTEPS:.4g} of them")
-    traj = _trajectory(times, _magnus_states(ham, psi0, times, substep),
+    traj = _trajectory(times, psi0.size, _magnus_states(ham, psi0, times, substep),
                        references, store_states)
     if not check_convergence:
         return traj
     for _ in range(3):
-        finer = _trajectory(times, _magnus_states(ham, psi0, times, substep / 2.0),
+        finer = _trajectory(times, psi0.size,
+                            _magnus_states(ham, psi0, times, substep / 2.0),
                             references, store_states)
         moved = abs(1.0 - abs(np.vdot(finer.final_state, traj.final_state)))
         for label in traj.overlaps:
@@ -217,9 +252,11 @@ def propagate_frame(frame: SchemeFrame, psi0: np.ndarray, t_end: float, *,
     """
     times = _sample_times(t_end, times, n_points)
     h_static, g_diag = static_frame(frame)
-    states = (np.exp(-2j * np.pi * g_diag * t) * inner
-              for t, inner in zip(times, evolve_static(h_static, psi0, times)))
-    return _trajectory(times, states, references, store_states)
+    phase = -2j * np.pi * g_diag
+    blocks = (np.exp(np.outer(times[rows], phase)) * inner
+              for rows, inner in zip(time_blocks(times.size),
+                                     evolve_static(h_static, psi0, times)))
+    return _trajectory(times, psi0.size, blocks, references, store_states)
 
 
 def computational_indices(cutoffs: FockCutoffs, ground_level: str) -> np.ndarray:

@@ -25,12 +25,15 @@ def format_frequency(value_ghz: float) -> str:
 
 
 def write_csv(path: str, header: list[str], rows, cfg_hash: str) -> None:
+    """One line per row of the 2-D float array ``rows``, each value as
+    ``%.12g``; rows are formatted and written one at a time."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    line = ",".join(["%.12g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(meta_line(cfg_hash) + "\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join("%.12g" % v for v in row) + "\n")
+            fh.write(line % tuple(row.tolist()))
 
 
 def write_json(path: str, payload: dict, cfg_hash: str) -> None:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -200,6 +201,102 @@ def test_trajectory_overlap_traces_and_drift():
     assert abs(traj.overlaps["init"][0]) == pytest.approx(1.0, abs=1e-12)
     # the vacuum component is exactly decoupled in this frame
     np.testing.assert_allclose(np.abs(traj.overlaps["a00"]), 0.5, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# blocked states against the per-time loop, byte for byte
+
+_DIM_CUTOFF = {36: 2, 64: 3, 100: 4}
+_BLOCK_COUNTS = (1, dynamics._STATE_BLOCK - 1, dynamics._STATE_BLOCK,
+                 dynamics._STATE_BLOCK + 1, 2001)
+
+
+def _loop_states(h, psi0, times):
+    """The per-time propagator: one eigenbasis product per sample."""
+    w, u = np.linalg.eigh(h)
+    c0 = u.conj().T @ psi0
+    return np.array([u @ (np.exp(-2j * np.pi * w * t) * c0) for t in times])
+
+
+def _loop_traces(states, refs):
+    """Per-state ``np.linalg.norm`` and ``np.vdot``."""
+    norms = np.array([np.linalg.norm(psi) for psi in states])
+    overlaps = {label: np.array([np.vdot(ref, psi) for psi in states])
+                for label, ref in refs.items()}
+    return norms, overlaps
+
+
+def _sorted_times(rng, n):
+    return np.cumsum(rng.uniform(0.01, 0.05, n))
+
+
+@pytest.mark.parametrize("n", _BLOCK_COUNTS)
+@pytest.mark.parametrize("dim", sorted(_DIM_CUTOFF))
+def test_evolve_static_bytes_equal_per_time_loop(dim, n):
+    rng = np.random.RandomState(dim + n)
+    h, psi0 = _random_hermitian(rng, dim), _random_state(rng, dim)
+    times = _sorted_times(rng, n)
+    blocks = list(dynamics.evolve_static(h, psi0, times))
+    assert max(len(b) for b in blocks) <= dynamics._STATE_BLOCK
+    assert np.concatenate(blocks).tobytes() == _loop_states(h, psi0, times).tobytes()
+
+
+@pytest.mark.parametrize("n", _BLOCK_COUNTS)
+@pytest.mark.parametrize("dim", sorted(_DIM_CUTOFF))
+def test_trajectory_bytes_equal_per_time_loop(dim, n):
+    rng = np.random.RandomState(dim + 3 * n)
+    states = np.array([_random_state(rng, dim) for _ in range(n)])
+    refs = {f"r{k}": rng.randn(dim) + 1j * rng.randn(dim) for k in range(3)}
+    times = _sorted_times(rng, n)
+    blocks = (states[rows] for rows in dynamics.time_blocks(n))
+    traj = dynamics._trajectory(times, dim, blocks, refs, True)
+    norms, overlaps = _loop_traces(states, refs)
+    assert traj.norms.tobytes() == norms.tobytes()
+    for label in refs:
+        assert traj.overlaps[label].tobytes() == overlaps[label].tobytes()
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.final_state.tobytes() == states[-1].tobytes()
+
+
+@pytest.mark.parametrize("n", _BLOCK_COUNTS)
+@pytest.mark.parametrize("dim", sorted(_DIM_CUTOFF))
+def test_propagate_frame_bytes_equal_per_time_loop(dim, n):
+    point = operating_point(Scheme.BEAM_SPLITTER)
+    cut = _DIM_CUTOFF[dim]
+    frame, _ = build_scheme_frame(point["params"], Scheme.BEAM_SPLITTER, point["drives"],
+                                  FockCutoffs(cut, cut), detunings=point["detunings"])
+    rng = np.random.RandomState(dim + 5 * n)
+    psi0 = _random_state(rng, dim)
+    refs = {f"r{k}": rng.randn(dim) + 1j * rng.randn(dim) for k in range(3)}
+    times = _sorted_times(rng, n)
+    traj = propagate_frame(frame, psi0, times[-1], times=times, references=refs,
+                           store_states=True)
+    h_static, g_diag = schemes.static_frame(frame)
+    states = np.array([np.exp(-2j * np.pi * g_diag * t) * inner
+                       for t, inner in zip(times, _loop_states(h_static, psi0, times))])
+    norms, overlaps = _loop_traces(states, refs)
+    assert traj.states.shape == (n, dim)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.norms.tobytes() == norms.tobytes()
+    for label in refs:
+        assert traj.overlaps[label].tobytes() == overlaps[label].tobytes()
+
+
+def test_propagate_frame_memory_stays_blocked():
+    point = operating_point(Scheme.BEAM_SPLITTER)
+    frame, _ = build_scheme_frame(point["params"], Scheme.BEAM_SPLITTER, point["drives"],
+                                  FockCutoffs(4, 4), detunings=point["detunings"])
+    psi0 = product_state(frame.cutoffs, "a", [1, 1], [1, 1])
+    refs = {"initial": psi0, "a00": basis_state(frame.cutoffs, "a", 0, 0)}
+    n = 20001   # all states as one matrix: 20001 x 100 complex = 32 MB
+    tracemalloc.start()
+    try:
+        traj = propagate_frame(frame, psi0, 40.0, n_points=n, references=refs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.states is None and traj.norms.size == n
+    assert peak < 8e6
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import os
 import numpy as np
 import pytest
 
+from fwmsim import dynamics
 from fwmsim.cli import main
 from fwmsim.operators import FockCutoffs
 from fwmsim.presets import operating_point
@@ -166,3 +167,12 @@ def test_job_output_bytes(case, tmp_path, monkeypatch):
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
            for f in (tmp_path / "out").iterdir()}
     assert got == want
+
+
+# states are propagated in blocks of sample times; a block of one time and a
+# block of every time give the same bytes (the jobs run 2001 points)
+@pytest.mark.parametrize("block", [1, dynamics.DEFAULT_POINTS + 1])
+@pytest.mark.parametrize("case", ["run-interaction-bm", "run-lab-ck"])
+def test_run_bytes_independent_of_state_block(case, block, tmp_path, monkeypatch):
+    monkeypatch.setattr(dynamics, "_STATE_BLOCK", block)
+    test_job_output_bytes(case, tmp_path, monkeypatch)
