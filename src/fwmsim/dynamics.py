@@ -3,8 +3,11 @@ dressed-energy oracle that cross-checks every closed-form effective coupling
 against exact diagonalization.
 
 Propagation solves d psi / dt = -i 2 pi H(t) psi with H in GHz and t in ns.
-Static Hamiltonians are propagated exactly through their eigendecomposition;
-time-dependent ones use a fourth-order Magnus integrator (two Gauss nodes
+Static Hamiltonians are propagated exactly through their eigendecomposition,
+restricted to the states their nonzero pattern links to the initial state
+(the symmetry sectors it populates): one ``eigh`` over those, exact zeros
+elsewhere, and the full solve unchanged when every sector is populated.
+Time-dependent ones use a fourth-order Magnus integrator (two Gauss nodes
 plus the commutator term). Each Magnus step exp(Omega) = exp(-i G), with the
 hermitian generator G = i Omega, is applied to the state as a Taylor series
 summed to roundoff over ceil(||G||_1) pieces, from matrix-vector products
@@ -31,7 +34,7 @@ from scipy.optimize import minimize_scalar
 from .effective import EffectiveParams, canonical_gate_time, effective_params
 from .errors import IntegrationError, OracleError, TrackingError
 from .hamiltonian import Hamiltonian
-from .operators import FockCutoffs, LEVEL_INDEX, basis_state
+from .operators import FockCutoffs, basis_state
 from .schemes import SchemeFrame, static_frame
 
 NORM_TOL = 1e-9
@@ -122,17 +125,45 @@ def _trajectory(times, dim, blocks, references, store_states):
                       norms=norms, final_state=block[-1].copy(), states=states)
 
 
-def evolve_static(h: np.ndarray, psi0: np.ndarray, times: np.ndarray):
+def reachable(h: np.ndarray, psi0: np.ndarray) -> np.ndarray:
+    """Sorted basis indices that the nonzero pattern of ``h`` links to the
+    support of ``psi0``: the symmetry sectors the state populates. A NaN
+    entry counts as nonzero."""
+    links = h != 0
+    mask = psi0 != 0
+    while True:
+        grown = mask | links[mask].any(axis=0)
+        if np.array_equal(grown, mask):
+            return np.flatnonzero(mask)
+        mask = grown
+
+
+def evolve_static(h: np.ndarray, psi0: np.ndarray, times: np.ndarray,
+                  g_diag: np.ndarray | None = None):
     """Exact eigendecomposition propagator for a static Hamiltonian.
 
-    Yields the states at ``times`` in blocks of at most _STATE_BLOCK rows,
-    one state per row, each row the product ``u @ (exp(-2 pi i w t) * c0)``.
+    One ``eigh`` over the states ``reachable(h, psi0)`` propagates them and
+    every other amplitude is exactly 0; when every state is reachable, ``h``
+    and ``psi0`` enter unchanged. Yields the states at ``times`` in blocks of
+    at most _STATE_BLOCK full-width rows, one state per row, each row the
+    product ``u @ (exp(-2 pi i w t) * c0)``, then times exp(-2 pi i g t) on
+    the reachable states for a diagonal ``g_diag``.
     """
-    w, u = np.linalg.eigh(h)
-    c0 = u.conj().T @ psi0
+    idx = reachable(h, psi0)
+    part = idx.size < psi0.size
+    w, u = np.linalg.eigh(h[np.ix_(idx, idx)] if part else h)
+    c0 = u.conj().T @ (psi0[idx] if part else psi0)
     phase = -2j * np.pi * w
+    frame_phase = None if g_diag is None else -2j * np.pi * g_diag[idx]
     for rows in time_blocks(times.size):
-        yield (u @ (np.exp(np.outer(times[rows], phase)) * c0)[:, :, None])[:, :, 0]
+        block = (u @ (np.exp(np.outer(times[rows], phase)) * c0)[:, :, None])[:, :, 0]
+        if frame_phase is not None:
+            block = np.exp(np.outer(times[rows], frame_phase)) * block
+        if part:
+            full = np.zeros((len(block), psi0.size), dtype=complex)
+            full[:, idx] = block
+            block = full
+        yield block
 
 
 def _expm_action(gen: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -248,15 +279,13 @@ def propagate_frame(frame: SchemeFrame, psi0: np.ndarray, t_end: float, *,
 
     psi(t) = e^{-i 2 pi G t} e^{-i 2 pi H' t} psi(0) with diagonal G; this is
     exact for every scheme frame (their time dependence is a single
-    oscillating term), so no step-size control is involved.
+    oscillating term), so no step-size control is involved. Both factors act
+    on the states H' links to psi(0) only; the others stay exactly 0.
     """
     times = _sample_times(t_end, times, n_points)
     h_static, g_diag = static_frame(frame)
-    phase = -2j * np.pi * g_diag
-    blocks = (np.exp(np.outer(times[rows], phase)) * inner
-              for rows, inner in zip(time_blocks(times.size),
-                                     evolve_static(h_static, psi0, times)))
-    return _trajectory(times, psi0.size, blocks, references, store_states)
+    return _trajectory(times, psi0.size, evolve_static(h_static, psi0, times, g_diag),
+                       references, store_states)
 
 
 def computational_indices(cutoffs: FockCutoffs, ground_level: str) -> np.ndarray:
@@ -313,17 +342,14 @@ def _cross_kerr_oracle(frame: SchemeFrame) -> EffectiveParams:
     cut = frame.cutoffs
     h_full = frame.h_i0 + frame.v_static
     h_base = frame.h_i0
-    # conserved excitation numbers N1 = n1 + P_b + P_d and N2 = n2 + P_c + P_d
-    level, n1, n2 = cut.basis
-    num1 = n1 + np.isin(level, (LEVEL_INDEX["b"], LEVEL_INDEX["d"]))
-    num2 = n2 + np.isin(level, (LEVEL_INDEX["c"], LEVEL_INDEX["d"]))
     energy = {}
     for s1 in (0, 1):
         for s2 in (0, 1):
-            idx = np.where((num1 == s1) & (num2 == s2))[0]
-            label = basis_state(cut, frame.ground_level, s1, s2)[idx]
+            # the conserved sector of |g; s1 s2>
+            bare = basis_state(cut, frame.ground_level, s1, s2)
+            idx = reachable(h_full, bare)
             e, _ = track_branch(h_full[np.ix_(idx, idx)], h_base[np.ix_(idx, idx)],
-                                label)
+                                bare[idx])
             energy[(s1, s2)] = e
     chi = energy[(1, 1)] - energy[(1, 0)] - energy[(0, 1)] + energy[(0, 0)]
     de1 = energy[(1, 0)] - energy[(0, 0)]

@@ -328,6 +328,17 @@ def test_optimize_bounds_pct_reaches_search(ck_config, tmp_path):
         assert abs(out["best_params"][name] / ref - 1.0) <= 0.01 + 1e-12
 
 
+def test_cli_import_does_not_load_csgraph():
+    # the populated-sector search is numpy only; scipy.sparse.csgraph would
+    # add to the start-up time of every command
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fwmsim.__file__)))
+    proc = subprocess.run([sys.executable, "-c", "import sys, fwmsim.cli; "
+                           "print('scipy.sparse.csgraph' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_derive_output_independent_of_hash_seed(tmp_path):
     # the dispersive entries follow a fixed order, not the string-hash seed
     config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

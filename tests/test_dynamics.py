@@ -14,9 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 import fwmsim
 from fwmsim import dynamics, schemes
+from fwmsim.cli import _reference_states
 from fwmsim.dynamics import (STEP_FREQ_FACTOR, dressed_energy_oracle, gate_fidelity,
                              propagate, propagate_frame, track_branch)
 from fwmsim.effective import effective_params
@@ -297,6 +300,69 @@ def test_propagate_frame_memory_stays_blocked():
         tracemalloc.stop()
     assert traj.states is None and traj.norms.size == n
     assert peak < 8e6
+
+
+# ---------------------------------------------------------------------------
+# propagation on the populated sectors only
+
+@st.composite
+def _sparsity_patterns(draw):
+    dim = draw(st.integers(min_value=1, max_value=12))
+    index = st.integers(min_value=0, max_value=dim - 1)
+    links = draw(st.lists(st.tuples(index, index), max_size=2 * dim))
+    support = sorted(draw(st.sets(index, max_size=dim)))
+    return dim, links, support
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_sparsity_patterns())
+def test_reachable_is_the_union_of_the_touched_components(case):
+    dim, links, support = case
+    h = np.zeros((dim, dim), dtype=complex)
+    for i, j in links:
+        h[i, j] = h[j, i] = 0.5
+    psi0 = np.zeros(dim, dtype=complex)
+    psi0[support] = 1.0
+    idx = dynamics.reachable(h, psi0)
+    inside = np.zeros(dim, dtype=bool)
+    inside[idx] = True
+    assert np.all(np.diff(idx) > 0) and inside[support].all()
+    assert not np.any(h[np.ix_(inside, ~inside)])   # closed under h
+    _, labels = connected_components(csr_matrix(h != 0), directed=False)
+    assert np.array_equal(idx, np.flatnonzero(np.isin(labels, labels[support])))
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 4])
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_propagate_frame_exactly_zero_outside_populated_sectors(scheme, cutoff):
+    point = operating_point(scheme)
+    frame, _ = build_scheme_frame(point["params"], scheme, point["drives"],
+                                  FockCutoffs(cutoff, cutoff), detunings=point["detunings"])
+    ep = effective_params(frame)
+    psi0, refs = _reference_states(frame, ep)
+    times = np.linspace(0.0, ep.gate_time, 401)
+    traj = propagate_frame(frame, psi0, ep.gate_time, times=times, references=refs,
+                           store_states=True)
+    h_static, g_diag = schemes.static_frame(frame)
+    full = np.array([np.exp(-2j * np.pi * g_diag * t) * inner
+                     for t, inner in zip(times, _loop_states(h_static, psi0, times))])
+    _, overlaps = _loop_traces(full, refs)
+    _, labels = connected_components(csr_matrix(h_static != 0), directed=False)
+    outside = ~np.isin(labels, labels[psi0 != 0])
+    assert outside.any()
+    assert np.all(traj.states[:, outside] == 0.0)
+    # the full-space solve is itself up to 1.2e-12 off a 40-digit evaluation
+    # (sq1 at cutoff 2), where the populated-sector solve is within 2e-13
+    np.testing.assert_allclose(traj.states, full, rtol=0, atol=2e-12)
+    for label in refs:
+        np.testing.assert_allclose(traj.overlaps[label], overlaps[label], rtol=0, atol=2e-12)
+
+
+@pytest.mark.parametrize("fill", [0.0, np.nan], ids=["zero", "nan"])
+def test_propagate_frame_rejects_zero_or_nan_state(fill):
+    psi0 = np.full(_FRAME_CUT.dim, fill, dtype=complex)
+    with np.errstate(all="ignore"), pytest.raises(IntegrationError, match="norm drift"):
+        propagate_frame(_ck_frame(), psi0, 1.0, n_points=3)
 
 
 # ---------------------------------------------------------------------------
