@@ -18,9 +18,10 @@ of at most _STATE_BLOCK sample times, one state per row, by stacked
 matrix-vector and vector-vector products: each row gets the arithmetic of
 ``u @ v``, ``np.linalg.norm`` and ``np.vdot`` on that one state, so the
 results do not depend on the block size. Sample times must be finite, and
-every state must keep its norm within NORM_TOL (a NaN state fails too). A
+every state's norm must stay within NORM_TOL (a NaN state fails too). A
 dressed branch is the eigenvector of largest overlap, at least 0.5, with its
-bare label.
+bare label; the oracle's dressed states are rotated onto their bare labels
+directly, one ``eigh`` per sector, at a subspace fidelity of at least 0.5.
 """
 
 from __future__ import annotations
@@ -29,19 +30,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .effective import EffectiveParams, canonical_gate_time, effective_params
 from .errors import IntegrationError, OracleError, TrackingError
 from .hamiltonian import Hamiltonian
-from .operators import FockCutoffs, basis_state
+from .operators import FockCutoffs
 from .schemes import SchemeFrame, static_frame
 
 NORM_TOL = 1e-9
 DEFAULT_POINTS = 2001          # >= 2000 samples per gate time
 STEP_FREQ_FACTOR = 50.0        # integrator step <= 1 / (50 * fastest frequency)
-RAMP_STEPS = 10                # coupling ramp of the cross-Kerr branch tracking
-SCAN_POINTS = 41               # four-photon detuning grid of the pair oracle
+SECANT_STEPS = 10              # cap on the pair oracle's Delta_F secant steps
+_SECANT_PROBE = 1e-6           # GHz; the first secant step, local to the frame's Delta_F
+_SECANT_TOL = 1e-13            # GHz; a secant step this small ends the solve
 MAX_SUBSTEPS = 2.0 ** 53      # the most Magnus steps a float64 counts exactly
 _TAYLOR_TERMS = 30             # cap on the Taylor terms of one exp(-i G / s) piece
 _ROUNDOFF_SQ = (2.0 ** -53) ** 2  # squared unit roundoff of float64
@@ -309,7 +310,7 @@ def gate_fidelity(state_or_traj, target: np.ndarray, *, cutoffs: FockCutoffs,
 
 
 # ---------------------------------------------------------------------------
-# adiabatic branch tracking and the dressed-energy oracle
+# branch identification and the dressed-energy oracle
 
 def _branch_column(u: np.ndarray, label_vec: np.ndarray, what: str) -> int:
     """Column of the eigenvector matrix ``u`` with the largest overlap with
@@ -321,114 +322,86 @@ def _branch_column(u: np.ndarray, label_vec: np.ndarray, what: str) -> int:
     return k
 
 
-def track_branch(h_full: np.ndarray, h_base: np.ndarray,
-                 label_vec: np.ndarray) -> tuple[float, np.ndarray]:
-    """Follow the eigenvector adiabatically connected to ``label_vec``.
+def effective_hamiltonian(h: np.ndarray, states: np.ndarray | list) -> np.ndarray:
+    """All-order effective Hamiltonian of ``h`` on the basis indices ``states``.
 
-    The coupling (h_full - h_base) is ramped in RAMP_STEPS increments; at
-    each step the branch is re-identified by :func:`_branch_column`.
+    Per sector of ``h`` (:func:`reachable`) holding m of ``states``: one
+    ``eigh``, T the overlap block of the m eigenvectors with most weight on
+    them, and Q the unitary polar factor of T give H_eff = Q diag(w) Q^dag,
+    the Schrieffer-Wolff effective Hamiltonian to all orders (des Cloizeaux,
+    Nucl. Phys. 20 (1960) 321; Bravyi, DiVincenzo & Loss, Ann. Phys. 326
+    (2011) 2793). Entries between sectors are exactly 0; a subspace fidelity
+    (smallest singular value of T, squared) below 0.5 raises TrackingError.
     """
-    v = label_vec.astype(complex)
-    coupling = h_full - h_base
-    for lam in np.linspace(1.0 / RAMP_STEPS, 1.0, RAMP_STEPS):
-        w, u = np.linalg.eigh(h_base + lam * coupling)
-        k = _branch_column(u, v, f"branch at ramp {lam:.2f}")
-        v = u[:, k]
-        energy = float(w[k])
-    return energy, v
+    states = np.asarray(states)
+    h_eff = np.zeros((states.size, states.size), dtype=complex)
+    todo = np.ones(states.size, dtype=bool)
+    while todo.any():
+        idx = reachable(h, np.arange(len(h)) == states[np.argmax(todo)])
+        mine = np.flatnonzero(np.isin(states, idx))
+        todo[mine] = False
+        w, u = np.linalg.eigh(h[np.ix_(idx, idx)])
+        overlap = u[np.searchsorted(idx, states[mine])]  # rows: the states
+        cols = np.argsort(np.sum(np.abs(overlap) ** 2, axis=0))[-mine.size:]
+        left, sv, right = np.linalg.svd(overlap[:, cols])
+        if not sv[-1] ** 2 >= 0.5:  # also a NaN matrix
+            raise TrackingError(f"states {states[mine].tolist()} not identifiable: "
+                                f"subspace fidelity {sv[-1] ** 2:.3f} < 0.5")
+        q = left @ right
+        h_eff[np.ix_(mine, mine)] = (q * w[cols]) @ q.conj().T
+    return h_eff
 
 
-def _cross_kerr_oracle(frame: SchemeFrame) -> EffectiveParams:
-    cut = frame.cutoffs
-    h_full = frame.h_i0 + frame.v_static
-    h_base = frame.h_i0
-    energy = {}
-    for s1 in (0, 1):
-        for s2 in (0, 1):
-            # the conserved sector of |g; s1 s2>
-            bare = basis_state(cut, frame.ground_level, s1, s2)
-            idx = reachable(h_full, bare)
-            e, _ = track_branch(h_full[np.ix_(idx, idx)], h_base[np.ix_(idx, idx)],
-                                bare[idx])
-            energy[(s1, s2)] = e
-    chi = energy[(1, 1)] - energy[(1, 0)] - energy[(0, 1)] + energy[(0, 0)]
-    de1 = energy[(1, 0)] - energy[(0, 0)]
-    de2 = energy[(0, 1)] - energy[(0, 0)]
-    return EffectiveParams(scheme=frame.scheme, chi=chi, delta_eps1=de1,
-                           delta_eps2=de2, delta_f=0.0,
-                           gate_time=canonical_gate_time(frame.scheme, chi))
-
-
-def _pair_gap(frame: SchemeFrame, mu: float, pair: tuple[np.ndarray, np.ndarray],
-              keep: np.ndarray | None = None) -> float:
-    h_static, _ = static_frame(frame, osc_freqs=(mu,))
-    p0, p1 = pair
-    if keep is not None:
-        h_static = h_static[np.ix_(keep, keep)]
-        p0, p1 = p0[keep], p1[keep]
-    w, u = np.linalg.eigh(h_static)
-    weights = np.abs(u.conj().T @ p0) ** 2 + np.abs(u.conj().T @ p1) ** 2
-    k0, k1 = np.argsort(weights)[-2:]
-    overlap_matrix = np.column_stack([u[:, k0], u[:, k1]]).conj().T \
-        @ np.column_stack((p0, p1))
-    smin = np.linalg.svd(overlap_matrix, compute_uv=False)[-1]
-    if smin**2 < 0.5:
-        raise TrackingError(
-            f"dressed pair lost at scan point {mu:.6g} GHz: subspace fidelity "
-            f"{smin**2:.3f} < 0.5")
-    return float(abs(w[k0] - w[k1]))
-
-
-def _pair_oracle(frame: SchemeFrame) -> EffectiveParams:
-    cut = frame.cutoffs
-    g = frame.ground_level
-    n_first, n_second, element = frame.spec.oracle_pair
-    pair = (basis_state(cut, g, *n_first), basis_state(cut, g, *n_second))
-    keep = None
-    if not frame.spec.retained[2]:
-        # mode 2 is decoupled here; drop its exactly degenerate copies so
-        # eigh cannot mix them arbitrarily
-        keep = np.flatnonzero(cut.basis[2] == 0)
-
-    closed = effective_params(frame)
-    center = frame.detunings.delta_f
-    half = max(10.0 * abs(closed.chi),
-               1.5 * (abs(closed.delta_eps1 or 0.0) + abs(closed.delta_eps2 or 0.0)),
-               1e-4)
-    for _ in range(4):
-        grid = np.linspace(center - half, center + half, SCAN_POINTS)
-        gaps = np.array([_pair_gap(frame, mu, pair, keep) for mu in grid])
-        k = int(np.argmin(gaps))
-        if 0 < k < SCAN_POINTS - 1:
-            res = minimize_scalar(lambda m: _pair_gap(frame, m, pair, keep),
-                                  bounds=(grid[k - 1], grid[k + 1]), method="bounded",
-                                  options={"xatol": max(abs(closed.chi) * 1e-7, 1e-13)})
-            gap = float(res.fun)
-            chi = math.copysign(gap / (2.0 * element), closed.chi or 1.0)
-            return EffectiveParams(scheme=frame.scheme, chi=chi, delta_eps1=None,
-                                   delta_eps2=None, delta_f=float(res.x),
-                                   gate_time=canonical_gate_time(frame.scheme, chi))
-        half *= 3.0
+def _balanced_pair(frame: SchemeFrame, pair: list, mu: float,
+                   h_eff: np.ndarray) -> tuple[float, np.ndarray]:
+    """(Delta_F, H_eff) where the pair's diagonal in H_eff balances: a secant
+    solve from ``mu`` and its ``h_eff`` whose first step, _SECANT_PROBE, stays
+    where the pair is known to be identifiable."""
+    x0, f0 = mu, (h_eff[0, 0] - h_eff[1, 1]).real
+    x1 = x0 + _SECANT_PROBE
+    for _ in range(SECANT_STEPS):
+        h_eff = effective_hamiltonian(static_frame(frame, osc_freqs=(x1,))[0], pair)
+        f1 = (h_eff[0, 0] - h_eff[1, 1]).real
+        if f1 == 0 or abs(x1 - x0) <= _SECANT_TOL:
+            return x1, h_eff
+        if f1 == f0:
+            break
+        x0, f0, x1 = x1, f1, x1 - f1 * (x1 - x0) / (f1 - f0)
     raise OracleError(
-        f"avoided crossing not bracketed for scheme {frame.scheme.value} within "
-        f"+-{half:.3g} GHz of the balanced four-photon detuning")
+        f"pair mismatch of scheme {frame.scheme.value} not balanced within "
+        f"{SECANT_STEPS} secant steps from Delta_F = {mu:.6g} GHz")
 
 
 def dressed_energy_oracle(frame: SchemeFrame) -> EffectiveParams:
-    """Effective parameters from exact diagonalization, independent of the
+    """Effective parameters from the :func:`effective_hamiltonian` of the
+    static frame at the scheme's ``oracle_cutoffs``, independent of the
     closed forms.
 
-    Cross-Kerr: conserved-sector diagonalization with adiabatic branch
-    tracking; chi is the second difference of the ground-branch energies
-    over Fock sectors (0,1)^2 and the mode shifts are first differences.
-    Other schemes: half the minimum avoided-crossing gap of the dressed pair
-    ({1,0}/{0,1} for the beam splitter, {0,0}/{1,1} for the two-mode squeeze,
-    {0}/{2} with the sqrt(2) matrix element divided out for the single-mode
-    squeeze) while scanning the four-photon detuning over SCAN_POINTS
-    points. Both run on ``frame.at_cutoffs`` of the scheme's own small
-    ``oracle_cutoffs``.
+    Cross-Kerr: chi is the second difference of the H_eff diagonal on the
+    computational block, the mode shifts are first differences. Other
+    schemes: Delta_F balances the diagonal of the dressed pair ({1,0}/{0,1}
+    beam splitter, {0,0}/{1,1} two-mode, {0}/{2} single-mode squeeze), and
+    chi is |H_eff[0, 1]| there over the pair's matrix element, signed by the
+    closed form. A pair in two sectors couples at no Delta_F: H_eff[0, 1]
+    and chi are exactly 0, at the frame's Delta_F.
     """
     work = frame.at_cutoffs(frame.spec.oracle_cutoffs)
+    g = work.ground_level
+    h, _ = static_frame(work)
     if work.spec.oracle_pair is None:
-        return _cross_kerr_oracle(work)
-    return _pair_oracle(work)
+        comp = computational_indices(work.cutoffs, g)
+        e00, e01, e10, e11 = np.diag(effective_hamiltonian(h, comp)).real.tolist()
+        chi = e11 - e10 - e01 + e00
+        return EffectiveParams(scheme=work.scheme, chi=chi, delta_eps1=e10 - e00,
+                               delta_eps2=e01 - e00, delta_f=0.0,
+                               gate_time=canonical_gate_time(work.scheme, chi))
+    n_first, n_second, element = work.spec.oracle_pair
+    pair = [work.cutoffs.index(g, *n_first), work.cutoffs.index(g, *n_second)]
+    mu = work.detunings.delta_f
+    h_eff = effective_hamiltonian(h, pair)
+    chi = 0.0
+    if h_eff[0, 1] != 0:
+        mu, h_eff = _balanced_pair(work, pair, mu, h_eff)
+        chi = math.copysign(abs(h_eff[0, 1]) / element, effective_params(work).chi or 1.0)
+    return EffectiveParams(scheme=work.scheme, chi=chi, delta_eps1=None, delta_eps2=None,
+                           delta_f=float(mu), gate_time=canonical_gate_time(work.scheme, chi))

@@ -46,7 +46,7 @@ class IntegrationError(NumericError):
 
 
 class TrackingError(NumericError):
-    """Adiabatic branch tracking lost its state label (overlap < 0.5)."""
+    """A dressed state or subspace lost its bare label (overlap < 0.5)."""
 
 
 class TruncationError(NumericError):
@@ -54,7 +54,7 @@ class TruncationError(NumericError):
 
 
 class OracleError(NumericError):
-    """A dressed-energy scan failed to bracket its avoided crossing."""
+    """The dressed-energy oracle could not balance its pair's Delta_F."""
 
 
 class OptimizationError(NumericError):

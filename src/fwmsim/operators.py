@@ -37,7 +37,7 @@ class FockCutoffs:
 
     def __post_init__(self):
         if self.n_max1 < 1 or self.n_max2 < 1:
-            raise ValueError("Fock cutoffs must keep at least photon numbers {0, 1}")
+            raise ValueError("Fock cutoffs must include photon numbers {0, 1}")
 
     @property
     def dim1(self) -> int:

@@ -141,8 +141,8 @@ SPECS: dict[Scheme, SchemeSpec] = {
         # delta1 is set by the circuit; drive 1 follows from four-photon matching
         matched=(1, lambda f, wa1, wa2, df: f[2] - 2.0 * wa1 - df),
         oracle_pair=((0, 0), (2, 0), math.sqrt(2.0)),
-        # the pair-creation tower must end right above the tracked pair,
-        # otherwise tower repulsion contaminates the avoided crossing
+        # the pair-creation tower must end right above the dressed pair,
+        # otherwise tower repulsion contaminates the pair coupling
         oracle_cutoffs=FockCutoffs(2, 1)),
 }
 
@@ -411,7 +411,7 @@ def build_full_hamiltonian(params: CircuitParams,
     s2 = table.sigma_x_matrix(2)
     n1, n2, q1, q2, q1q2 = _mode_pieces(cutoffs)
     # every term is (4x4 level matrix) x (mode piece), each entry a single
-    # product; the sums keep the order of the full-dimension construction,
+    # product; the sums follow the order of the full-dimension construction,
     # so H is the same bit for bit
     h = np.diag(np.repeat(es.energies, cutoffs.dim1 * cutoffs.dim2))
     h = h + params.omega_a1 * n1 + params.omega_a2 * n2

@@ -356,6 +356,24 @@ def test_derive_output_independent_of_hash_seed(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("name, mutate", [
+    ("beam_splitter.json", lambda doc: doc["circuit"].update(g2=0.0)),
+    ("beam_splitter.json", lambda doc: doc["circuit"].update(g1=0.0)),
+    ("two_mode_squeeze.json", lambda doc: doc["circuit"].update(g2=0.0)),
+    ("single_mode_squeeze.json", lambda doc: [d.update(rabi=0.0) for d in doc["drives"]]),
+], ids=["bm-g2", "bm-g1", "sq2-g2", "sq1-rabi"])
+def test_derive_oracle_uncoupled_pair_is_exactly_zero(name, mutate, tmp_path):
+    # a zero coupling leaves the dressed pair in two sectors (and a zero
+    # oscillating coefficient drops the frame's oscillating term): the
+    # oracle's chi is exactly 0, as the closed form's is
+    doc = json.load(open(os.path.join(CONFIG_DIR, name)))
+    mutate(doc)
+    path = tmp_path / "uncoupled.json"
+    path.write_text(json.dumps(doc))
+    assert main(["derive", "--config", str(path), "--out", str(tmp_path), "--oracle"]) == 0
+    assert json.load(open(tmp_path / "derive.json"))["oracle"]["chi_ghz"] == 0.0
+
+
 @pytest.mark.parametrize("command", ["optimize", "sweep"])
 def test_config_circuit_centres_the_search(ck_config, tmp_path, command):
     _, cfg = ck_config

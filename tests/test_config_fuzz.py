@@ -12,6 +12,7 @@ import json
 import math
 import os
 
+import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
@@ -80,15 +81,16 @@ def mutated_configs(draw, docs=DOCS, mutations=st.integers(min_value=1, max_valu
     return doc
 
 
+@pytest.mark.parametrize("flags", [(), ("--oracle",)], ids=["plain", "oracle"])
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=mutated_configs())
-def test_derive_exit_code_contract_under_mutated_configs(doc, tmp_path):
+def test_derive_exit_code_contract_under_mutated_configs(flags, doc, tmp_path):
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(doc))
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        code = main(["derive", "--config", str(path), "--out", str(tmp_path)])
+        code = main(["derive", "--config", str(path), "--out", str(tmp_path), *flags])
     event(f"exit {code}")
     assert code in (0, 2, 3), sink.getvalue()
 

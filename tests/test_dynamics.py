@@ -1,5 +1,5 @@
-"""Propagators (exact and Magnus), overlap traces, gate fidelity, branch
-tracking, and the dressed-energy oracle."""
+"""Propagators (exact and Magnus), overlap traces, gate fidelity, the
+all-order effective Hamiltonian, and the dressed-energy oracle."""
 
 import dataclasses
 import math
@@ -20,8 +20,8 @@ from scipy.sparse.csgraph import connected_components
 import fwmsim
 from fwmsim import dynamics, schemes
 from fwmsim.cli import _reference_states
-from fwmsim.dynamics import (STEP_FREQ_FACTOR, dressed_energy_oracle, gate_fidelity,
-                             propagate, propagate_frame, track_branch)
+from fwmsim.dynamics import (STEP_FREQ_FACTOR, dressed_energy_oracle, effective_hamiltonian,
+                             gate_fidelity, propagate, propagate_frame)
 from fwmsim.effective import effective_params
 from fwmsim.errors import IntegrationError, TrackingError
 from fwmsim.hamiltonian import Hamiltonian
@@ -456,27 +456,39 @@ def test_full_hamiltonian_frame_equivalence_gauge_invariant():
 
 
 # ---------------------------------------------------------------------------
-# branch tracking and the oracle
+# the all-order effective Hamiltonian and the oracle
 
-def test_track_branch_simple_repulsion():
-    base = np.diag([0.0, 5.0])
-    coupling = np.array([[0.0, 0.4], [0.4, 0.0]])
-    energy, vec = track_branch(base + coupling, base, np.array([1.0, 0.0]))
+def test_effective_hamiltonian_two_level_repulsion():
+    h = np.array([[0.0, 0.4], [0.4, 5.0]])
     expected = (5.0 - np.sqrt(25.0 + 4 * 0.16)) / 2.0
-    assert energy == pytest.approx(expected, abs=1e-12)
-    assert abs(vec[0]) > 0.99
+    h_eff = effective_hamiltonian(h, [0])
+    assert h_eff.shape == (1, 1)
+    assert h_eff[0, 0] == pytest.approx(expected, abs=1e-12)
 
 
-def test_track_branch_ambiguity_raises():
+def test_effective_hamiltonian_ambiguity_raises():
     # near-degenerate base with strong random mixing spreads the label over
-    # several branches within the first ramp step
+    # several eigenvectors, none of them half on it
     rng = np.random.default_rng(2)
     n = 5
     base = np.diag(np.linspace(0.0, 1e-5, n))
     c = rng.normal(size=(n, n))
     c = (c + c.T) / 2.0
     with pytest.raises(TrackingError):
-        track_branch(base + c, base, np.eye(n)[:, 0])
+        effective_hamiltonian(base + c, [0])
+
+
+def test_effective_hamiltonian_degenerate_copies():
+    # two exactly degenerate copies of one system are two sectors: each gets
+    # the single copy's H_eff, with exact zeros between them, however LAPACK
+    # would split the degenerate eigenvectors of the whole matrix
+    rng = np.random.RandomState(4)
+    h = np.diag([0.0, 0.3, 3.0, 4.0, 5.0]) + _random_hermitian(rng, 5, scale=0.1)
+    single = effective_hamiltonian(h, [0, 1])
+    both = effective_hamiltonian(np.kron(h, np.eye(2)), [0, 2, 1, 3])
+    assert np.max(np.abs(both[:2, :2] - single)) <= 1e-14
+    assert np.max(np.abs(both[2:, 2:] - single)) <= 1e-14
+    assert np.all(both[:2, 2:] == 0) and np.all(both[2:, :2] == 0)
 
 
 def test_oracle_cross_kerr_reference_point():
@@ -503,21 +515,62 @@ def test_oracle_zero_couplings_exactly_zero():
 @pytest.mark.parametrize("scheme", [Scheme.BEAM_SPLITTER, Scheme.TWO_MODE_SQUEEZE,
                                     Scheme.SINGLE_MODE_SQUEEZE], ids=lambda s: s.value)
 def test_pair_oracle_builds_frame_system_once(scheme, monkeypatch):
-    # every scan point solves the co-rotating frame, but the row system is
+    # every secant point solves the co-rotating frame, but the row system is
     # the oracle-cutoff frame's, built once
     built, solves = [], []
     real_system, real_solve = schemes._corotating_system, dynamics.static_frame
     monkeypatch.setattr(schemes, "_corotating_system",
                         lambda frame: built.append(frame) or real_system(frame))
     monkeypatch.setattr(dynamics, "static_frame",
-                        lambda frame, osc_freqs: solves.append(frame) or
+                        lambda frame, osc_freqs=None: solves.append(frame) or
                         real_solve(frame, osc_freqs))
     pt = operating_point(scheme)
     frame, _ = build_scheme_frame(pt["params"], scheme, pt["drives"], CUT,
                                   detunings=pt["detunings"])
     dressed_energy_oracle(frame)
-    assert len(solves) > dynamics.SCAN_POINTS
+    assert 2 <= len(solves) <= dynamics.SECANT_STEPS + 2
     assert len(built) == 1 and all(f is built[0] for f in solves)
+
+
+# (chi, Delta_F) in GHz of the minimum-gap oracle that the balanced H_eff
+# reading replaced (a 41-point Delta_F scan, then a bounded minimum search
+# of the dressed pair's gap), at the preset drives and at quarter drive
+GAP_ORACLE = [
+    (Scheme.BEAM_SPLITTER, 1.0, -0.00653774160497439, -0.001353358108037553),
+    (Scheme.BEAM_SPLITTER, 0.25, -0.0003725492140375583, -7.179680964162065e-05),
+    (Scheme.TWO_MODE_SQUEEZE, 1.0, -0.0029664355139317478, 0.0023398077193605795),
+    (Scheme.TWO_MODE_SQUEEZE, 0.25, -0.0002607396911526727, 0.0002989030786118385),
+    (Scheme.SINGLE_MODE_SQUEEZE, 1.0, 0.000764864317343849, 0.03986287708520574),
+    (Scheme.SINGLE_MODE_SQUEEZE, 0.25, 5.334603161275225e-05, 0.04095092258526506),
+]
+
+
+def _preset_frame(scheme, drive_scale=1.0):
+    pt = operating_point(scheme)
+    drives = tuple(dataclasses.replace(d, rabi=d.rabi * drive_scale) for d in pt["drives"])
+    frame, _ = build_scheme_frame(pt["params"], scheme, drives, CUT,
+                                  detunings=pt["detunings"])
+    return frame
+
+
+@pytest.mark.parametrize("scheme, drive_scale, chi, delta_f", GAP_ORACLE,
+                         ids=[f"{s.value}-{'preset' if k == 1.0 else 'quarter'}"
+                              for s, k, _, _ in GAP_ORACLE])
+def test_pair_oracle_agrees_with_minimum_gap_oracle(scheme, drive_scale, chi, delta_f):
+    # the gap also holds the diagonal mismatch left at its minimum, so the
+    # two readings differ in the fifth digit at the preset drives
+    oracle = dressed_energy_oracle(_preset_frame(scheme, drive_scale))
+    assert oracle.chi == pytest.approx(chi, rel=1e-4)
+    assert oracle.delta_f == pytest.approx(delta_f, abs=1e-4)
+
+
+def test_cross_kerr_oracle_values_unchanged():
+    # one sector per computational state: H_eff is its dressed energy, the
+    # same eigenvalue the coupling ramp of the earlier oracle ended on
+    oracle = dressed_energy_oracle(_preset_frame(Scheme.CROSS_KERR))
+    assert oracle.chi == 0.006150224674807858
+    assert oracle.delta_eps1 == -0.019524624222629784
+    assert oracle.delta_eps2 == -0.013727215668168317
 
 
 def test_oracle_fourth_order_scaling():
@@ -557,7 +610,7 @@ def test_beam_splitter_swap_dynamics():
 
 
 def test_single_mode_squeeze_pair_production():
-    # two-photon emission into mode 1: |b;0> -> |b;2> at the oracle's crossing
+    # two-photon emission into mode 1: |b;0> -> |b;2> at the oracle's balanced Delta_F
     from fwmsim.presets import single_mode_squeeze_point
     pt = single_mode_squeeze_point()
     cut = FockCutoffs(3, 3)
@@ -597,7 +650,7 @@ def test_two_mode_squeeze_pair_production():
 
 
 def test_oracle_two_mode_squeeze_weak_drive_agreement():
-    # with gently dispersive drives the gap oracle converges on the closed form
+    # with gently dispersive drives the oracle converges on the closed form
     pt = two_mode_squeeze_point()
     from fwmsim.schemes import DriveSpec
     drives = (DriveSpec(slot=1, rabi=0.5, detuning=3.0),

@@ -39,13 +39,20 @@ DERIVE_SHA256 = {
     "two_mode_squeeze.json": "91472f4aae7df5bbb40099855e542108438008bf12d556663a5412c38722b3a9",
 }
 
-# derive --oracle adds the dressed-energy cross-check to derive.json
+# derive --oracle adds the dressed-energy cross-check to derive.json. The
+# three pair digests were re-recorded when the oracle changed from half the
+# minimum dressed-pair gap over a Delta_F scan to |H_eff[0, 1]| of the
+# all-order effective Hamiltonian where the pair's diagonal balances: the
+# coupling of a two-state problem is by definition that off-diagonal element,
+# while the minimum gap also holds the diagonal mismatch left at its minimum.
+# chi moved in the fifth digit (bm -6.537742 -> -6.537887 MHz, sq2 -2.966436
+# -> -2.966444 MHz, sq1 0.764864 -> 0.764865 MHz); cross-Kerr is unchanged.
 ORACLE_SHA256 = {
-    "beam_splitter.json": "4ab187a17758756d5f99f38138009e33fcb18532ecd729b7dd3f8fdb8759aa6b",
+    "beam_splitter.json": "0ee2108a9aa04143e50ec307d7f592153415e0dc664fa9d21dffe2a4a379ab94",
     "cross_kerr.json": "e96b1f2a4b2f9bdb026e12c7126f1cd56010bc7e29914f8efe4bfd768ca4bef7",
     "single_mode_squeeze.json":
-        "b3f783f6ce5b0c73cac374a0a8eaa5293904dc77113348e9a9289010e9ae96ab",
-    "two_mode_squeeze.json": "f55c9aff459bb0b0316271451acf022c08352411cf4d39ed13f1fa216c18e715",
+        "925d135d7dbcaa31e7ad5bb7e4351c761c1229e93d2042b75f6eb5c25fcde147",
+    "two_mode_squeeze.json": "b9e1986259b741545ba70bda33cc4160960cf30845d560c095dc9c3aa9efcf62",
 }
 
 # per preset scheme at cutoffs (2, 2): h_i0, v_static, and (matrix, frequency)
