@@ -18,20 +18,19 @@ of at most _STATE_BLOCK sample times, one state per row, by stacked
 matrix-vector and vector-vector products: each row gets the arithmetic of
 ``u @ v``, ``np.linalg.norm`` and ``np.vdot`` on that one state, so the
 results do not depend on the block size. Sample times must be finite, and
-every state's norm must stay within NORM_TOL (a NaN state fails too). A
-dressed branch is the eigenvector of largest overlap, at least 0.5, with its
-bare label; the oracle's dressed states are rotated onto their bare labels
-directly, one ``eigh`` per sector, at a subspace fidelity of at least 0.5.
+every state's norm must stay within NORM_TOL (a NaN state fails too). The
+oracle's dressed states are rotated onto their bare labels directly, one
+``eigh`` per sector, at a subspace fidelity of at least 0.5.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .effective import EffectiveParams, canonical_gate_time, effective_params
+from .effective import EffectiveParams
 from .errors import IntegrationError, OracleError, TrackingError
 from .hamiltonian import Hamiltonian
 from .operators import FockCutoffs
@@ -310,17 +309,7 @@ def gate_fidelity(state_or_traj, target: np.ndarray, *, cutoffs: FockCutoffs,
 
 
 # ---------------------------------------------------------------------------
-# branch identification and the dressed-energy oracle
-
-def _branch_column(u: np.ndarray, label_vec: np.ndarray, what: str) -> int:
-    """Column of the eigenvector matrix ``u`` with the largest overlap with
-    ``label_vec``; an overlap below 0.5 raises :class:`TrackingError`."""
-    weights = np.abs(label_vec.conj() @ u) ** 2
-    k = int(np.argmax(weights))
-    if not weights[k] >= 0.5:
-        raise TrackingError(f"{what} not identifiable: best overlap {weights[k]:.3f} < 0.5")
-    return k
-
+# the dressed-energy oracle
 
 def effective_hamiltonian(h: np.ndarray, states: np.ndarray | list) -> np.ndarray:
     """All-order effective Hamiltonian of ``h`` on the basis indices ``states``.
@@ -381,11 +370,11 @@ def dressed_energy_oracle(frame: SchemeFrame) -> EffectiveParams:
     computational block, the mode shifts are first differences. Other
     schemes: Delta_F balances the diagonal of the dressed pair ({1,0}/{0,1}
     beam splitter, {0,0}/{1,1} two-mode, {0}/{2} single-mode squeeze), and
-    chi is |H_eff[0, 1]| there over the pair's matrix element, signed by the
-    closed form. A pair in two sectors couples at no Delta_F: H_eff[0, 1]
-    and chi are exactly 0, at the frame's Delta_F.
+    chi is the real part of H_eff[0, 1] there over the pair's matrix element.
+    A pair in two sectors couples at no Delta_F: H_eff[0, 1] and chi are
+    exactly 0, at the frame's Delta_F.
     """
-    work = frame.at_cutoffs(frame.spec.oracle_cutoffs)
+    work = replace(frame, cutoffs=frame.spec.oracle_cutoffs)
     g = work.ground_level
     h, _ = static_frame(work)
     if work.spec.oracle_pair is None:
@@ -393,8 +382,7 @@ def dressed_energy_oracle(frame: SchemeFrame) -> EffectiveParams:
         e00, e01, e10, e11 = np.diag(effective_hamiltonian(h, comp)).real.tolist()
         chi = e11 - e10 - e01 + e00
         return EffectiveParams(scheme=work.scheme, chi=chi, delta_eps1=e10 - e00,
-                               delta_eps2=e01 - e00, delta_f=0.0,
-                               gate_time=canonical_gate_time(work.scheme, chi))
+                               delta_eps2=e01 - e00, delta_f=0.0)
     n_first, n_second, element = work.spec.oracle_pair
     pair = [work.cutoffs.index(g, *n_first), work.cutoffs.index(g, *n_second)]
     mu = work.detunings.delta_f
@@ -402,6 +390,6 @@ def dressed_energy_oracle(frame: SchemeFrame) -> EffectiveParams:
     chi = 0.0
     if h_eff[0, 1] != 0:
         mu, h_eff = _balanced_pair(work, pair, mu, h_eff)
-        chi = math.copysign(abs(h_eff[0, 1]) / element, effective_params(work).chi or 1.0)
+        chi = float(h_eff[0, 1].real) / element
     return EffectiveParams(scheme=work.scheme, chi=chi, delta_eps1=None, delta_eps2=None,
-                           delta_f=float(mu), gate_time=canonical_gate_time(work.scheme, chi))
+                           delta_f=float(mu))

@@ -32,40 +32,39 @@ def _check_detunings(scheme: Scheme, det: Detunings):
                 f"{scheme.value} are singular there")
 
 
-def canonical_gate_time(scheme: Scheme, chi: float) -> float:
-    """Scheme-specific canonical operation time in ns.
-
-    Beam splitter: the swap time 1/(4|chi|). Cross-Kerr: the pi conditional
-    phase time 1/(2|chi|). Squeezers: time to unit squeezing parameter,
-    r = 1, i.e. 1/(2 pi |chi|) for the two-mode pair rate and half that for
-    the single-mode operation whose Heisenberg rate is doubled.
-    """
-    if chi == 0:
-        return math.inf
-    return 1.0 / (SPECS[scheme].gate_scale * abs(chi))
-
-
 @dataclass(frozen=True)
 class EffectiveParams:
-    """Closed-form effective operation: coupling, mode shifts, four-photon
-    detuning and the scheme's canonical gate time."""
+    """Closed-form effective operation: coupling, mode shifts and
+    four-photon detuning."""
 
     scheme: Scheme
     chi: float
     delta_eps1: float | None
     delta_eps2: float | None
     delta_f: float
-    gate_time: float
 
     @property
     def chi_abs_mhz(self) -> float:
         return abs(self.chi) * 1e3
 
+    @property
+    def gate_time(self) -> float:
+        """Scheme-specific canonical operation time in ns.
+
+        Beam splitter: the swap time 1/(4|chi|). Cross-Kerr: the pi
+        conditional phase time 1/(2|chi|). Squeezers: time to unit squeezing
+        parameter, r = 1, i.e. 1/(2 pi |chi|) for the two-mode pair rate and
+        half that for the single-mode operation whose Heisenberg rate is
+        doubled.
+        """
+        if self.chi == 0:
+            return math.inf
+        return 1.0 / (SPECS[self.scheme].gate_scale * abs(self.chi))
+
 
 def effective_params(frame: SchemeFrame) -> EffectiveParams:
     """Evaluate the scheme's closed forms on a frame."""
-    return effective_params_from_values(frame.scheme, frame.detunings, frame.gtilde1,
-                                        frame.gtilde2, frame.rabi1, frame.rabi2)
+    return effective_params_from_values(frame.scheme, frame.detunings, **frame.coefficients)
 
 
 def effective_params_from_values(scheme: Scheme, det: Detunings, gtilde1: float,
@@ -79,8 +78,7 @@ def effective_params_from_values(scheme: Scheme, det: Detunings, gtilde1: float,
     chi = spec.chi(*args)
     de1, de2 = spec.shifts(*args)
     return EffectiveParams(scheme=scheme, chi=chi, delta_eps1=de1, delta_eps2=de2,
-                           delta_f=spec.balance(de1, de2),
-                           gate_time=canonical_gate_time(scheme, chi))
+                           delta_f=spec.balance(de1, de2))
 
 
 def controlled_phase_targets(ep: EffectiveParams, t: float) -> np.ndarray:

@@ -4,8 +4,9 @@ coupling energy.
 
 The objective for a candidate (E_J1, E_J2, b0) at fixed coupling energy:
 build the full (drive-free) cross-Kerr lab Hamiltonian, extract the exact
-dressed energies of the four computational branches |a; n1 n2> (by the
-branch rule of :mod:`fwmsim.dynamics`), form the pi-conditional-phase target
+dressed energies of the four computational branches |a; n1 n2> (a dressed
+branch is the eigenvector of largest overlap, at least 0.5, with its bare
+label), form the pi-conditional-phase target
 from those energies, and evaluate the state fidelity on a fine time scan
 around the exact gate time 1/(2|chi_lab|). Using the dressed energies (not
 the fourth-order formulas) for the target's single-photon phases is what
@@ -23,9 +24,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .circuit import CircuitParams
-from .dynamics import _branch_column, computational_indices
+from .dynamics import computational_indices
 from .errors import OptimizationError, TrackingError
-from .operators import FockCutoffs, basis_state, product_state
+from .operators import FockCutoffs, product_state
 from .presets import cross_kerr_point
 from .schemes import build_full_hamiltonian
 
@@ -81,9 +82,14 @@ def controlled_phase_fidelity(params: CircuitParams, cutoffs: FockCutoffs, *,
     ham = build_full_hamiltonian(params, (), cutoffs)
     w, u = np.linalg.eigh(ham.static)
     comp = computational_indices(cutoffs, "a")  # (0,0), (0,1), (1,0), (1,1)
-    energies = np.array([w[_branch_column(u, basis_state(cutoffs, "a", n1, n2),
-                                          f"computational branch |a;{n1}{n2}>")]
-                         for n1 in (0, 1) for n2 in (0, 1)])
+    weights = np.abs(u[comp]) ** 2
+    cols = np.argmax(weights, axis=1)
+    found = weights[range(4), cols] >= 0.5  # False for a NaN weight too
+    if not found.all():
+        k = int(np.argmin(found))
+        raise TrackingError(f"computational branch |a;{k // 2}{k % 2}> not identifiable: "
+                            f"best overlap {weights[k, cols[k]]:.3f} < 0.5")
+    energies = w[cols]
     chi_lab = energies[3] - energies[2] - energies[1] + energies[0]
     if chi_lab == 0:
         return None

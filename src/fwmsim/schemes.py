@@ -180,27 +180,22 @@ class Detunings:
 
 @dataclass(frozen=True)
 class SchemeFrame:
-    """Interaction-picture Hamiltonian of one scheme.
+    """Interaction-picture Hamiltonian of one scheme, held as its inputs.
 
-    ``h_i0`` carries the negative detunings on the scheme's levels,
-    ``v_static`` the time-independent couplings (hermitian, h.c. included)
-    and ``osc_terms`` the oscillating pairs (M, nu) meaning
-    M exp(+i 2 pi nu t) + h.c.
+    ``coefficients`` names the frame-term coefficients ``rabi1``, ``rabi2``,
+    ``gtilde1`` and ``gtilde2`` (GHz). The matrices follow from the inputs
+    on first use: ``h_i0`` carries the negative detunings on the scheme's
+    levels, ``v_static`` the time-independent couplings (hermitian, h.c.
+    included) and ``osc_terms`` the oscillating pairs (M, nu) meaning
+    M exp(+i 2 pi nu t) + h.c. So a ``dataclasses.replace`` of the cutoffs,
+    detunings or coefficients gives a frame whose matrices follow them.
     """
 
     scheme: Scheme
     cutoffs: FockCutoffs
-    ground_level: str
-    h_i0: np.ndarray
-    v_static: np.ndarray
-    osc_terms: tuple
     detunings: Detunings
-    gtilde1: float
-    gtilde2: float
-    rabi1: float
-    rabi2: float
+    coefficients: dict
     drive_frequencies: dict
-    eigen: EigenSystem
     params: CircuitParams
     notes: tuple = ()
 
@@ -212,16 +207,21 @@ class SchemeFrame:
         return SPECS[self.scheme]
 
     @property
-    def coefficients(self) -> dict:
-        """The named frame-term coefficients (GHz)."""
-        return {"rabi1": self.rabi1, "rabi2": self.rabi2, "gtilde1": self.gtilde1,
-                "gtilde2": self.gtilde2}
+    def ground_level(self) -> str:
+        return self.spec.levels[0]
 
-    def at_cutoffs(self, cutoffs: FockCutoffs) -> SchemeFrame:
-        """This frame with its matrices assembled at other Fock cutoffs."""
-        h_i0, v_static, osc = _frame_matrices(self.spec, self.detunings, cutoffs,
-                                              self.coefficients)
-        return replace(self, cutoffs=cutoffs, h_i0=h_i0, v_static=v_static, osc_terms=osc)
+    @functools.cached_property
+    def eigen(self) -> EigenSystem:
+        return eigensystem(self.params)
+
+    @functools.cached_property
+    def matrices(self) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """(h_i0, v_static, osc_terms), assembled once per frame."""
+        return _frame_matrices(self.spec, self.detunings, self.cutoffs, self.coefficients)
+
+    h_i0 = property(lambda self: self.matrices[0])
+    v_static = property(lambda self: self.matrices[1])
+    osc_terms = property(lambda self: self.matrices[2])
 
     @functools.cached_property
     def corotating_system(self) -> tuple[np.ndarray, np.ndarray]:
@@ -257,6 +257,9 @@ def _derive_detunings(scheme: Scheme, es: EigenSystem, params: CircuitParams,
         e = es.transition_energy(*pair)
         set_by_drive[slot] = dr.detuning if dr.detuning is not None else dr.frequency - e
         freqs[slot] = e + set_by_drive[slot]
+        if dr.frequency is not None and abs(dr.frequency - freqs[slot]) > 1e-3:
+            notes.append(f"drive-{slot} frequency input {dr.frequency:.6g} GHz ignored: "
+                         f"its detuning sets {freqs[slot]:.6g} GHz")
     h0 = spec.h0(params.omega_a1, params.omega_a2, freqs)
     ground = spec.levels[0]
     d1, d2, dd = (set_by_drive[k] if k in set_by_drive
@@ -314,13 +317,14 @@ def build_scheme_frame(params: CircuitParams, scheme: Scheme,
                 notes.append(f"{name} input {want:.6g} GHz vs circuit-derived "
                              f"{have:.6g} GHz (difference {want - have:+.4g})")
 
-    rabi1 = next((d.rabi for d in drives if d.slot == 1), 0.0)
-    rabi2 = next((d.rabi for d in drives if d.slot == 2), 0.0)
+    coefs = {"rabi1": next((d.rabi for d in drives if d.slot == 1), 0.0),
+             "rabi2": next((d.rabi for d in drives if d.slot == 2), 0.0),
+             "gtilde1": gt1, "gtilde2": gt2}
     if delta_f is not None:
         df = delta_f
     else:
         try:
-            df = effective_params_from_values(scheme, det, gt1, gt2, rabi1, rabi2).delta_f
+            df = effective_params_from_values(scheme, det, **coefs).delta_f
         except SingularityError:
             df = 0.0  # shifts undefined at zero detuning; nothing to balance
     det = replace(det, delta_f=df)
@@ -342,13 +346,8 @@ def build_scheme_frame(params: CircuitParams, scheme: Scheme,
                          f"matched value {matched:.6g} GHz")
         notes.append(f"drive-{slot} frequency from four-photon matching: {matched:.6g} GHz")
 
-    coefs = {"rabi1": rabi1, "rabi2": rabi2, "gtilde1": gt1, "gtilde2": gt2}
-    h_i0, v_static, osc = _frame_matrices(spec, det, cutoffs, coefs)
-    return SchemeFrame(
-        scheme=scheme, cutoffs=cutoffs, ground_level=spec.levels[0],
-        h_i0=h_i0, v_static=v_static, osc_terms=osc, detunings=det,
-        gtilde1=gt1, gtilde2=gt2, rabi1=rabi1, rabi2=rabi2,
-        drive_frequencies=freqs, eigen=es, params=params, notes=tuple(notes)), det
+    return SchemeFrame(scheme=scheme, cutoffs=cutoffs, detunings=det, coefficients=coefs,
+                       drive_frequencies=freqs, params=params, notes=tuple(notes)), det
 
 
 def _frame_matrices(spec: SchemeSpec, det: Detunings, cutoffs: FockCutoffs,
@@ -557,7 +556,7 @@ def lab_drives(frame: SchemeFrame) -> tuple[DriveSpec, ...]:
     """
     table = transition_table(frame.eigen)
     out = []
-    for slot, rabi in ((1, frame.rabi1), (2, frame.rabi2)):
+    for slot, rabi in ((1, frame.coefficients["rabi1"]), (2, frame.coefficients["rabi2"])):
         if not rabi:
             continue
         pair = tuple(frame.spec.drives[slot])
@@ -622,21 +621,20 @@ def dispersive_check(frame: SchemeFrame) -> DispersiveReport:
         ratio = math.inf if det == 0 else abs(amp) / det
         entries.append(DispersiveEntry(label, ratio, detuning, ratio <= DISPERSIVE_THRESHOLD))
 
-    d = frame.detunings
-    if frame.rabi1:
-        ratio_entry("drive1 single-photon", frame.rabi1, d.delta1)
-    if frame.rabi2:
-        ratio_entry("drive2 single-photon", frame.rabi2, d.delta2)
+    d, coefs = frame.detunings, frame.coefficients
+    for k, delta_k in ((1, d.delta1), (2, d.delta2)):
+        if coefs[f"rabi{k}"]:
+            ratio_entry(f"drive{k} single-photon", coefs[f"rabi{k}"], delta_k)
     # retained mode couplings: detuning read off the H_I0 level splittings
     for mode, pairs in spec.retained.items():
-        g = frame.gtilde1 if mode == 1 else frame.gtilde2
+        g = coefs[f"gtilde{mode}"]
         if not g:
             continue
         for i, j in pairs:
             ratio_entry(f"mode{mode} {i}{j} single-photon", g, lvl[i] - lvl[j])
     # two-photon paths: amplitude product over detuning product delta_k * delta
     for label, factors, k in spec.two_photon:
-        amp = math.prod(frame.coefficients[f] for f in factors)
+        amp = math.prod(coefs[f] for f in factors)
         denom = (d.delta1, d.delta2)[k - 1] * d.delta
         if amp:
             ratio_entry(label, amp, denom)

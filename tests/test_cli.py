@@ -15,6 +15,7 @@ import fwmsim
 from fwmsim.cli import main
 from fwmsim.config import MAX_POINTS, resolve
 from fwmsim.errors import ConfigError
+from fwmsim.operators import FockCutoffs
 from fwmsim.presets import (as_config, beam_splitter_point, cross_kerr_point,
                             single_mode_squeeze_point, two_mode_squeeze_point)
 
@@ -372,6 +373,38 @@ def test_derive_oracle_uncoupled_pair_is_exactly_zero(name, mutate, tmp_path):
     path.write_text(json.dumps(doc))
     assert main(["derive", "--config", str(path), "--out", str(tmp_path), "--oracle"]) == 0
     assert json.load(open(tmp_path / "derive.json"))["oracle"]["chi_ghz"] == 0.0
+
+
+def test_derive_and_lab_run_assemble_no_frame_matrix_at_the_run_cutoff(tmp_path,
+                                                                         monkeypatch):
+    # derive reads the frame's inputs, the oracle its own small-cutoff
+    # frame, and a lab run the full Hamiltonian: none needs frame matrices
+    # at the run's cutoff
+    from fwmsim import schemes
+    built, assemble = [], schemes._frame_matrices
+    monkeypatch.setattr(schemes, "_frame_matrices",
+                        lambda *args: built.append(args[2]) or assemble(*args))
+    for name in ("beam_splitter.json", "cross_kerr.json", "single_mode_squeeze.json"):
+        doc = json.load(open(os.path.join(CONFIG_DIR, name)))
+        doc["simulation"] = {"frame": "lab", "duration_ns": 0.001, "points": 3}
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        for argv in (["derive", "--oracle"], ["run"]):
+            assert main([*argv, "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--cutoff", "4"]) == 0
+    assert set(built) == {FockCutoffs(1, 1), FockCutoffs(2, 1)}
+
+
+def test_drive_frequency_beside_its_detuning_is_noted(tmp_path, capsys):
+    doc = json.load(open(os.path.join(CONFIG_DIR, "beam_splitter.json")))
+    doc["drives"][0]["frequency"] = 3.0
+    path = tmp_path / "bm.json"
+    path.write_text(json.dumps(doc))
+    assert main(["derive", "--config", str(path), "--out", str(tmp_path)]) == 0
+    notes = json.load(open(tmp_path / "derive.json"))["notes"]
+    assert [n for n in notes if n.startswith("drive-1 frequency input 3 GHz ignored: "
+                                             "its detuning sets ")]
+    assert "drive-1 frequency input 3 GHz ignored" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["optimize", "sweep"])

@@ -117,7 +117,7 @@ def test_controlled_phase_matches_diagonal_propagator():
 
 def test_controlled_phase_requires_cross_kerr():
     ep = EffectiveParams(scheme=Scheme.BEAM_SPLITTER, chi=0.006, delta_eps1=0.0,
-                         delta_eps2=0.0, delta_f=0.0, gate_time=40.0)
+                         delta_eps2=0.0, delta_f=0.0)
     with pytest.raises(ValueError):
         controlled_phase_targets(ep, 1.0)
 

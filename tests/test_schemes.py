@@ -13,9 +13,10 @@ from fwmsim.operators import (FockCutoffs, basis_state, destroy, embed_level_mat
                               mode_operator, product_state)
 from fwmsim.presets import (beam_splitter_point, cross_kerr_point, operating_point,
                             single_mode_squeeze_point, two_mode_squeeze_point)
-from fwmsim.schemes import (Detunings, DriveSpec, Scheme, build_full_hamiltonian,
-                            build_scheme_frame, dispersive_check, frame_h0_diagonal,
-                            lab_drives, lab_hamiltonian_from_frame, static_frame)
+from fwmsim.schemes import (Detunings, DriveSpec, Scheme, SchemeFrame,
+                            build_full_hamiltonian, build_scheme_frame, dispersive_check,
+                            frame_h0_diagonal, lab_drives, lab_hamiltonian_from_frame,
+                            static_frame)
 from fwmsim.schemes import _mode_pieces
 
 CUT = FockCutoffs(2, 2)
@@ -84,9 +85,24 @@ def test_drive_without_detuning_or_frequency_rejected():
                             DriveSpec(slot=2, rabi=1.5, detuning=-4.0)), CUT)
 
 
+def test_drive_frequency_beside_detuning_noted_as_ignored():
+    bs = beam_splitter_point()
+    frame, _ = _frame_for(Scheme.BEAM_SPLITTER)
+    set_freq = frame.drive_frequencies[1]
+    for given, noted in ((3.0, True), (set_freq + 5e-4, False)):
+        drives = (dataclasses.replace(bs["drives"][0], frequency=given), bs["drives"][1])
+        moved, _ = build_scheme_frame(bs["params"], Scheme.BEAM_SPLITTER, drives, CUT,
+                                      detunings=bs["detunings"])
+        note = (f"drive-1 frequency input {given:.6g} GHz ignored: "
+                f"its detuning sets {set_freq:.6g} GHz")
+        assert (note in moved.notes) is noted
+        assert [n for n in moved.notes if n != note] == list(frame.notes)
+        assert moved.drive_frequencies == frame.drive_frequencies
+
+
 def test_cross_kerr_frame_has_no_drive_terms():
     frame, _ = _frame_for(Scheme.CROSS_KERR)
-    assert frame.rabi1 == 0.0 and frame.rabi2 == 0.0
+    assert frame.coefficients["rabi1"] == 0.0 and frame.coefficients["rabi2"] == 0.0
     assert frame.drive_frequencies == {}
     assert frame.osc_terms == ()
 
@@ -254,12 +270,27 @@ def _frame_bytes(frame):
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.value)
 def test_at_cutoffs_bytes_equal_fresh_frame(scheme, cut):
     frame, _ = _frame_for(scheme)
-    moved = frame.at_cutoffs(cut)
+    frame.matrices  # assembled at CUT before the replace
+    moved = dataclasses.replace(frame, cutoffs=cut)
     fresh, _ = _frame_for(scheme, cut)
     assert moved.cutoffs == cut
     assert _frame_bytes(moved) == _frame_bytes(fresh)
     assert moved.detunings == fresh.detunings and moved.coefficients == fresh.coefficients
     assert moved.corotating_system[0].tobytes() == fresh.corotating_system[0].tobytes()
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.value)
+def test_replace_coefficients_bytes_equal_fresh_frame(scheme):
+    pt = operating_point(scheme)
+    frame, det = _frame_for(scheme)
+    frame.matrices  # assembled from the old coefficients before the replace
+    weaker = tuple(dataclasses.replace(d, rabi=d.rabi / 3.0) for d in pt["drives"])
+    p = dataclasses.replace(pt["params"], g1=0.7 * pt["params"].g1)
+    fresh, _ = build_scheme_frame(p, scheme, weaker, CUT, detunings=pt["detunings"],
+                                  delta_f=det.delta_f)
+    assert fresh.coefficients != frame.coefficients
+    moved = dataclasses.replace(frame, coefficients=fresh.coefficients)
+    assert _frame_bytes(moved) == _frame_bytes(fresh)
 
 
 def _matmul_frame_matrices(frame):
@@ -326,10 +357,20 @@ def test_static_frame_reconstructs_hamiltonian(scheme):
         np.testing.assert_allclose(rebuilt, ham.at(t), atol=1e-10)
 
 
+class _DoubledFrame(SchemeFrame):
+    """A frame whose one oscillating term also oscillates 1 GHz faster."""
+
+    @property
+    def osc_terms(self):
+        (m, nu), = super().osc_terms
+        return (m, nu), (m, nu + 1.0)
+
+
 def test_static_frame_infeasible_raises():
     frame, _ = _frame_for(Scheme.BEAM_SPLITTER)
-    m, nu = frame.osc_terms[0]
-    doubled = dataclasses.replace(frame, osc_terms=((m, nu), (m, nu + 1.0)))
+    doubled = _DoubledFrame(**{f.name: getattr(frame, f.name)
+                               for f in dataclasses.fields(frame)})
+    assert len(doubled.osc_terms) == 2
     with pytest.raises(FrameError):
         static_frame(doubled)
 
