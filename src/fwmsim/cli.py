@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .circuit import energy_sweep
-from .config import MAX_ABS, ResolvedConfig, load_config
+from .config import MAX_ABS, ResolvedConfig, load_config, resolve
 from .dynamics import (block_overlaps, dressed_energy_oracle, gate_fidelity, propagate,
                        propagate_frame, time_blocks)
 from .effective import controlled_phase_targets, effective_params
@@ -41,7 +41,6 @@ def _apply_overrides(cfg: ResolvedConfig, args) -> ResolvedConfig:
         doc["seed"] = args.seed
     if args.out:
         doc["outputs"] = {"dir": args.out}
-    from .config import resolve
     return resolve(doc)
 
 

@@ -294,12 +294,11 @@ def computational_indices(cutoffs: FockCutoffs, ground_level: str) -> np.ndarray
                      for n1 in (0, 1) for n2 in (0, 1)])
 
 
-def gate_fidelity(state_or_traj, target: np.ndarray, *, cutoffs: FockCutoffs,
+def gate_fidelity(psi: np.ndarray, target: np.ndarray, *, cutoffs: FockCutoffs,
                   ground_level: str) -> FidelityResult:
     """State-overlap fidelity |<target|psi>|^2 plus leakage outside the
     computational block."""
-    psi = state_or_traj.final_state if isinstance(state_or_traj, Trajectory) \
-        else np.asarray(state_or_traj)
+    psi = np.asarray(psi)
     if psi.shape != np.asarray(target).shape:
         raise ValueError("state/target dimension mismatch")
     fid = float(abs(np.vdot(target, psi)) ** 2)

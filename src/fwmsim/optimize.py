@@ -136,9 +136,7 @@ def _resonance_seeded(base: CircuitParams, bounds: dict, delta_ref: float,
             cand = tuple(float(np.clip(c, *bounds[k]))
                          for c, k in zip(cand, ("e_j1", "e_j2", "b0")))
             seeds.append(cand)
-            if len(seeds) >= count:
-                return seeds
-    return seeds
+    return seeds[:count]
 
 
 def maximize_fidelity(e_mx: float, *, bounds_pct: float = DEFAULT_BOUNDS_PCT,
@@ -168,17 +166,15 @@ def maximize_fidelity(e_mx: float, *, bounds_pct: float = DEFAULT_BOUNDS_PCT,
 
     rng = np.random.default_rng(seed)
     history: list = []
-    failures = 0
     evaluations = 0
 
     def objective(cand) -> float:
-        nonlocal evaluations, failures
+        nonlocal evaluations
         evaluations += 1
         cand = tuple(float(c) for c in cand)
         for c, name in zip(cand, ("e_j1", "e_j2", "b0")):
             lo, hi = bounds[name]
             if not (lo - 1e-12 <= c <= hi + 1e-12):
-                failures += 1
                 return 0.0
         p = replace(base, e_j1=cand[0], e_j2=cand[1], b0=cand[2])
         try:
@@ -188,21 +184,18 @@ def maximize_fidelity(e_mx: float, *, bounds_pct: float = DEFAULT_BOUNDS_PCT,
         except TrackingError:
             ev = None
         if ev is None:
-            failures += 1
             return 0.0
         history.append((cand, ev.fidelity, ev.gate_time))
         return ev.fidelity
 
     n_sample = max(1, int(round(budget * 0.6)))
     candidates = [(base.e_j1, base.e_j2, base.b0)]
-    ck_ref = cross_kerr_point()
-    delta_ref = ck_ref["detunings"].delta
-    candidates += _resonance_seeded(base, bounds, delta_ref,
-                                    min(12, max(0, n_sample - 1)))
+    candidates += _resonance_seeded(base, bounds, cross_kerr_point()["detunings"].delta,
+                                    min(12, n_sample - 1))
     while len(candidates) < n_sample:
         candidates.append(tuple(rng.uniform(*bounds[k])
                                 for k in ("e_j1", "e_j2", "b0")))
-    for cand in candidates[:min(n_sample, budget)]:
+    for cand in candidates:
         objective(cand)
 
     remaining = budget - evaluations

@@ -236,45 +236,6 @@ class SchemeFrame:
         return {ground: 0.0, l1: -d.delta1, l2: -d.delta2, l3: -d.delta}
 
 
-def _derive_detunings(scheme: Scheme, es: EigenSystem, params: CircuitParams,
-                      drives: tuple[DriveSpec, ...]) -> tuple[Detunings, dict, list]:
-    """Scheme detuning definitions, drive-frequency back-solving and the
-    consistency notes comparing every derivable quantity with its input.
-
-    Drive slot k sets delta_k, unless four-photon matching sets that drive's
-    frequency; every other detuning is h0[level] - E(level, ground)."""
-    spec = SPECS[scheme]
-    by_slot = {d.slot: d for d in drives}
-    matched = spec.matched[0] if spec.matched else None
-    notes, freqs, set_by_drive = [], {}, {}
-    for slot, pair in spec.drives.items():
-        if slot == matched:
-            continue
-        dr = by_slot[slot]
-        if dr.detuning is None and dr.frequency is None:
-            raise SchemeError(f"drive {slot} of scheme {scheme.value} needs either a "
-                              "detuning (canonical) or a frequency")
-        e = es.transition_energy(*pair)
-        set_by_drive[slot] = dr.detuning if dr.detuning is not None else dr.frequency - e
-        freqs[slot] = e + set_by_drive[slot]
-        if dr.frequency is not None and abs(dr.frequency - freqs[slot]) > 1e-3:
-            notes.append(f"drive-{slot} frequency input {dr.frequency:.6g} GHz ignored: "
-                         f"its detuning sets {freqs[slot]:.6g} GHz")
-    h0 = spec.h0(params.omega_a1, params.omega_a2, freqs)
-    ground = spec.levels[0]
-    d1, d2, dd = (set_by_drive[k] if k in set_by_drive
-                  else h0[level] - es.transition_energy(level, ground)
-                  for k, level in enumerate(spec.levels[1:], 1))
-    if matched is not None:
-        given, value = by_slot[matched].detuning, (d1, d2)[matched - 1]
-        if given is not None and abs(given - value) > 1e-9:
-            notes.append(f"drive-{matched} detuning input {given:.6g} GHz ignored: "
-                         f"this scheme's delta{matched} = omega_a{matched} - "
-                         f"E_{spec.levels[matched]}{ground} = {value:.6g} GHz "
-                         "is set by the circuit")
-    return Detunings(d1, d2, dd), freqs, notes
-
-
 def build_scheme_frame(params: CircuitParams, scheme: Scheme,
                        drives: tuple[DriveSpec, ...] = (),
                        cutoffs: FockCutoffs = FockCutoffs(),
@@ -282,10 +243,12 @@ def build_scheme_frame(params: CircuitParams, scheme: Scheme,
                        delta_f: float | None = None) -> tuple[SchemeFrame, Detunings]:
     """Construct the interaction-picture pair (H_I0, V_I) for one scheme.
 
-    ``detunings`` overrides the circuit-derived values verbatim (its
-    ``delta_f`` is ignored unless ``delta_f`` is also given, because the
-    balancing value depends on the final detunings). Differences between
-    supplied and derived detunings are recorded in the frame notes.
+    Drive slot k sets delta_k, unless four-photon matching sets that drive's
+    frequency; every other detuning is h0[level] - E(level, ground).
+    ``detunings`` overrides these circuit-derived values verbatim, and each
+    difference is recorded in the frame notes. Its ``delta_f`` is always
+    ignored: ``delta_f`` sets the four-photon detuning, which otherwise is
+    the balancing value of the final detunings.
     """
     from .effective import effective_params_from_values  # effective imports this module
 
@@ -295,31 +258,52 @@ def build_scheme_frame(params: CircuitParams, scheme: Scheme,
         raise SchemeError(
             f"scheme {scheme.value} takes exactly {len(spec.drives)} drives, "
             f"got {len(drives)}")
-    slots = sorted(d.slot for d in drives)
-    if slots != sorted(set(slots)) or (drives and slots != list(range(1, len(drives) + 1))):
+    by_slot = {d.slot: d for d in drives}
+    if sorted(by_slot) != sorted(spec.drives):
         raise SchemeError("drives must occupy distinct slots 1..n")
 
     es = eigensystem(params)
     table = transition_table(es)
-    gt1 = params.g1 * table.coefficient(1, ("d", "c"))     # g1 cos(th+ - th-)
-    gt2 = params.g2 * table.coefficient(2, ("d", "b"))     # g2 cos(th+ + th-)
-    if not spec.retained[2]:
-        gt2 = 0.0  # mode 2 is decoupled in this frame
+    coefs = {f"rabi{k}": by_slot[k].rabi if k in by_slot else 0.0 for k in (1, 2)}
+    # g1 cos(th+ - th-) and g2 cos(th+ + th-); 0 for a mode this frame decouples
+    for mode, g, pair in ((1, params.g1, ("d", "c")), (2, params.g2, ("d", "b"))):
+        coefs[f"gtilde{mode}"] = g * table.coefficient(mode, pair) if spec.retained[mode] else 0.0
 
-    derived, freqs, notes = _derive_detunings(scheme, es, params, drives)
-    det = derived
-    if detunings is not None:
-        det = Detunings(detunings.delta1, detunings.delta2, detunings.delta)
-        for name, want, have in (("delta1", detunings.delta1, derived.delta1),
-                                 ("delta2", detunings.delta2, derived.delta2),
-                                 ("delta", detunings.delta, derived.delta)):
-            if abs(want - have) > 5e-4:
-                notes.append(f"{name} input {want:.6g} GHz vs circuit-derived "
-                             f"{have:.6g} GHz (difference {want - have:+.4g})")
+    wa1, wa2 = params.omega_a1, params.omega_a2
+    matched = by_slot[spec.matched[0]] if spec.matched else None
+    notes, freqs, set_by_drive = [], {}, {}
+    for slot, pair in spec.drives.items():
+        dr = by_slot[slot]
+        if dr is matched:
+            continue
+        if dr.detuning is None and dr.frequency is None:
+            raise SchemeError(f"drive {slot} of scheme {scheme.value} needs either a "
+                              "detuning (canonical) or a frequency")
+        e = es.transition_energy(*pair)
+        set_by_drive[slot] = dr.detuning if dr.detuning is not None else dr.frequency - e
+        freqs[slot] = e + set_by_drive[slot]
+        if dr.frequency is not None and abs(dr.frequency - freqs[slot]) > 1e-3:
+            notes.append(f"drive-{slot} frequency input {dr.frequency:.6g} GHz ignored: "
+                         f"its detuning sets {freqs[slot]:.6g} GHz")
+    h0 = spec.h0(wa1, wa2, freqs)
+    ground = spec.levels[0]
+    derived = Detunings(*(set_by_drive[k] if k in set_by_drive
+                          else h0[level] - es.transition_energy(level, ground)
+                          for k, level in enumerate(spec.levels[1:], 1)))
+    if matched is not None and matched.detuning is not None:
+        slot, value = matched.slot, getattr(derived, f"delta{matched.slot}")
+        if abs(matched.detuning - value) > 1e-9:
+            notes.append(f"drive-{slot} detuning input {matched.detuning:.6g} GHz ignored: "
+                         f"this scheme's delta{slot} = omega_a{slot} - "
+                         f"E_{spec.levels[slot]}{ground} = {value:.6g} GHz "
+                         "is set by the circuit")
+    det = derived if detunings is None else detunings
+    for name in ("delta1", "delta2", "delta"):
+        want, have = getattr(det, name), getattr(derived, name)
+        if abs(want - have) > 5e-4:
+            notes.append(f"{name} input {want:.6g} GHz vs circuit-derived "
+                         f"{have:.6g} GHz (difference {want - have:+.4g})")
 
-    coefs = {"rabi1": next((d.rabi for d in drives if d.slot == 1), 0.0),
-             "rabi2": next((d.rabi for d in drives if d.slot == 2), 0.0),
-             "gtilde1": gt1, "gtilde2": gt2}
     if delta_f is not None:
         df = delta_f
     else:
@@ -330,21 +314,19 @@ def build_scheme_frame(params: CircuitParams, scheme: Scheme,
     det = replace(det, delta_f=df)
 
     # four-photon lab-frequency bookkeeping
-    wa1, wa2 = params.omega_a1, params.omega_a2
     if spec.four_photon:
         label, lab_delta_f = spec.four_photon
         lab_df = lab_delta_f(freqs, wa1, wa2)
         if abs(lab_df - df) > 1e-3:
             notes.append(f"four-photon frequency matching: {label} = "
                          f"{lab_df:.6g} GHz vs balanced Delta_F {df:.6g} GHz")
-    if spec.matched:
-        slot, solve = spec.matched
-        freqs[slot] = matched = solve(freqs, wa1, wa2, df)
-        given = next(d.frequency for d in drives if d.slot == slot)
-        if given is not None and abs(given - matched) > 1e-3:
+    if matched is not None:
+        slot, given = matched.slot, matched.frequency
+        freqs[slot] = solved = spec.matched[1](freqs, wa1, wa2, df)
+        if given is not None and abs(given - solved) > 1e-3:
             notes.append(f"drive-{slot} frequency input {given:.6g} GHz vs four-photon "
-                         f"matched value {matched:.6g} GHz")
-        notes.append(f"drive-{slot} frequency from four-photon matching: {matched:.6g} GHz")
+                         f"matched value {solved:.6g} GHz")
+        notes.append(f"drive-{slot} frequency from four-photon matching: {solved:.6g} GHz")
 
     return SchemeFrame(scheme=scheme, cutoffs=cutoffs, detunings=det, coefficients=coefs,
                        drive_frequencies=freqs, params=params, notes=tuple(notes)), det
@@ -641,11 +623,10 @@ def dispersive_check(frame: SchemeFrame) -> DispersiveReport:
 
     table = transition_table(frame.eigen)
     unwanted = []
-    for mode in (1, 2):
-        g = frame.params.g1 if mode == 1 else frame.params.g2
-        wa = frame.params.omega_a1 if mode == 1 else frame.params.omega_a2
-        coefs = table.x1 if mode == 1 else table.x2
-        for (i, j), coef in coefs.items():
+    p = frame.params
+    for mode, g, wa, elements in ((1, p.g1, p.omega_a1, table.x1),
+                                  (2, p.g2, p.omega_a2, table.x2)):
+        for (i, j), coef in elements.items():
             if i + j in spec.retained[mode]:
                 continue
             e_ij = abs(frame.eigen.transition_energy(i, j))

@@ -117,7 +117,7 @@ def test_frame_matrix_bytes(scheme):
 _LAB_SHORT = {"frame": "lab", "duration_ns": 0.005, "points": 11}
 
 # case -> (config, command, extra flags, replaced config sections,
-#          {output file: sha256})
+#          {output file: sha256}, or {"exit": code, "stderr": text} of a rejected job)
 JOB_SHA256 = {
     # interaction-frame runs solve only the sectors psi0 populates. Outside
     # them the states are now exactly 0, where the full solve left up to 3e-13
@@ -163,6 +163,38 @@ JOB_SHA256 = {
                                 "points": 2, "budget": 15}},
                      {"fidelity_sweep.csv":
                       "35bead7974b1ea9af285cf59fef70224764220ba651760591bc6feb928f667b4"}),
+    # drive and detuning inputs that disagree with the circuit: derive.json
+    # pins the resolved detunings, drive frequencies and every note. A None
+    # section drops that key from the config
+    "derive-sq1-drive1-detuned": ("single_mode_squeeze.json", "derive", (), {"drives": [
+        {"slot": 1, "rabi": 1.0, "detuning": 2.0, "frequency": 5.5},
+        {"slot": 2, "rabi": 1.0, "detuning": -5.0}]}, {
+        "derive.json": "ae991f4a0081c6995e52c0ebe2657ccaf131374c3859007e0987941dceda176f"}),
+    "derive-sq1-frequency-drives": ("single_mode_squeeze.json", "derive", (), {"drives": [
+        {"slot": 1, "rabi": 1.0, "frequency": 4.9},
+        {"slot": 2, "rabi": 1.0, "frequency": 25.1}]}, {
+        "derive.json": "edf3663d2ce90fbd033ba940cc37b3ba6f4f6345d0c6d47162fa393db5c72da2"}),
+    "derive-sq1-no-detunings": ("single_mode_squeeze.json", "derive", (),
+                                {"detunings": None}, {
+        "derive.json": "88224bd17dea18c8f6c4de3ab6bf7118f759896b9884d871a535b5bbb0336c1d"}),
+    "derive-bm-frequency-drive1": ("beam_splitter.json", "derive", (), {"drives": [
+        {"slot": 1, "rabi": 1.5, "frequency": 18.4},
+        {"slot": 2, "rabi": 1.5, "detuning": -4.0, "frequency": 11.2}]}, {
+        "derive.json": "5f0551db4c90e04d60151ba0f649a42797ccc4d80b0cdfbeb6f526cc4f244314"}),
+    "derive-sq2-detunings": ("two_mode_squeeze.json", "derive", (), {
+        "detunings": {"delta1": 3.0, "delta2": -4.9, "delta": -3.5}}, {
+        "derive.json": "4501c411c38602b75ab9c7f6d84ccd1bda79bf3d3337938e02e6f8cac84b3680"}),
+    # rejected drive lists exit 2 with the error on stderr and write nothing
+    "derive-ck-one-drive": ("cross_kerr.json", "derive", (), {"drives": [
+        {"slot": 1, "rabi": 1.0, "detuning": 1.0}]}, {
+        "exit": 2, "stderr": "config error: scheme ck takes exactly 0 drives, got 1\n"}),
+    "derive-bm-duplicate-slot": ("beam_splitter.json", "derive", (), {"drives": [
+        {"slot": 1, "rabi": 1.5, "detuning": -4.0},
+        {"slot": 1, "rabi": 1.5, "detuning": -4.0}]}, {
+        "exit": 2, "stderr": "config error: drives must occupy distinct slots 1..n\n"}),
+    "derive-bm-one-drive": ("beam_splitter.json", "derive", (), {"drives": [
+        {"slot": 1, "rabi": 1.5, "detuning": -4.0}]}, {
+        "exit": 2, "stderr": "config error: scheme bm takes exactly 2 drives, got 1\n"}),
 }
 
 
@@ -171,11 +203,16 @@ def test_job_output_bytes(case, tmp_path, monkeypatch):
     name, command, flags, sections, want = JOB_SHA256[case]
     with open(os.path.join(CONFIG_DIR, name)) as fh:
         doc = json.load(fh)
-    doc.update(sections)
+    doc = {k: v for k, v in {**doc, **sections}.items() if v is not None}
     (tmp_path / "config.json").write_text(json.dumps(doc))
     monkeypatch.chdir(tmp_path)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main([command, "--config", "config.json", "--out", "out", *flags]) == 0
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, "--config", "config.json", "--out", "out", *flags])
+    if code:
+        assert {"exit": code, "stderr": err.getvalue()} == want
+        assert not (tmp_path / "out").exists()
+        return
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
            for f in (tmp_path / "out").iterdir()}
     assert got == want

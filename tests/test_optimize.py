@@ -8,7 +8,7 @@ import pytest
 from fwmsim.dynamics import computational_indices
 from fwmsim.errors import OptimizationError, TrackingError
 from fwmsim.operators import FockCutoffs, basis_state, product_state
-from fwmsim.optimize import controlled_phase_fidelity, maximize_fidelity
+from fwmsim.optimize import _resonance_seeded, controlled_phase_fidelity, maximize_fidelity
 from fwmsim.presets import cross_kerr_point
 from fwmsim.schemes import build_full_hamiltonian
 
@@ -47,6 +47,15 @@ def test_budget_one_evaluates_reference_point():
                                pt["params"].b0)
     ev = controlled_phase_fidelity(pt["params"], CUT)
     assert res.fidelity == pytest.approx(ev.fidelity, abs=1e-12)
+
+
+@pytest.mark.parametrize("count", [0, 1, 5, 12])
+def test_resonance_seeds_number_count(count):
+    pt = cross_kerr_point()
+    p = pt["params"]
+    bounds = {k: tuple(sorted((0.9 * getattr(p, k), 1.1 * getattr(p, k))))
+              for k in ("e_j1", "e_j2", "b0")}
+    assert len(_resonance_seeded(p, bounds, pt["detunings"].delta, count)) == count
 
 
 def test_seed_determinism():
