@@ -13,8 +13,8 @@ ns, phases accumulate as 2*pi*nu*t.
 
 __version__ = "0.1.0"
 
-from .circuit import (CapacitanceSet, CircuitParams, EigenSystem, TransitionTable,
-                      derive_couplings, eigensystem, energy_sweep, transition_table)
+from .circuit import (CapacitanceSet, CircuitParams, EigenSystem, derive_couplings,
+                      eigensystem, energy_sweep)
 from .dynamics import (FidelityResult, Trajectory, dressed_energy_oracle,
                        gate_fidelity, propagate, propagate_frame)
 from .effective import (EffectiveParams, IdealOperation, IdealOpSpec,
@@ -30,8 +30,8 @@ from .schemes import (Detunings, DriveSpec, Scheme, SchemeFrame,
 
 __all__ = [
     "__version__",
-    "CapacitanceSet", "CircuitParams", "EigenSystem", "TransitionTable",
-    "derive_couplings", "eigensystem", "energy_sweep", "transition_table",
+    "CapacitanceSet", "CircuitParams", "EigenSystem", "derive_couplings", "eigensystem",
+    "energy_sweep",
     "FidelityResult", "Trajectory", "dressed_energy_oracle", "gate_fidelity",
     "propagate", "propagate_frame",
     "EffectiveParams", "IdealOperation", "IdealOpSpec",

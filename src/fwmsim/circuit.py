@@ -1,5 +1,5 @@
 """Circuit parameter model: capacitance-derived couplings, analytic four-level
-spectrum, transition tables, and energy sweeps.
+spectrum with its sigma_x projections, and energy sweeps.
 
 Unit convention (package-wide): every energy and frequency is an ordinary
 frequency in GHz (a quantity usually quoted as X/2*pi), time is in ns, and
@@ -9,8 +9,9 @@ homogeneous of degree one in frequency, so GHz in means GHz out.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.constants import e as ELEMENTARY_CHARGE, h as PLANCK_H
@@ -20,6 +21,9 @@ from .operators import LEVEL_INDEX, LEVELS
 
 DEGENERACY_TOL = 1e-6  # GHz; below this the mixing angles are ill-defined
 REGIME_RATIO = 10.0    # the factor ">>" stands for in C_sigma_ri >> C_sigma_i >> C_m
+# level pairs each qubit's sigma_x couples, in the order reports list them;
+# neither couples a-d or b-c
+SIGMA_X_PAIRS = {1: ("ab", "dc", "db", "ac"), 2: ("ab", "dc", "ac", "db")}
 
 
 def _charging_energy_ghz(capacitance_f: float) -> float:
@@ -211,6 +215,29 @@ class EigenSystem:
     def energies(self) -> np.ndarray:
         return np.array([self.e_a, self.e_b, self.e_c, self.e_d])
 
+    @functools.cached_property
+    def sigma_x(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (sigma_x1, sigma_x2) in the eigenbasis (a, b, c, d): real
+        symmetric, with entries on the :data:`SIGMA_X_PAIRS` only."""
+        dif = self.theta_plus - self.theta_minus
+        tot = self.theta_plus + self.theta_minus
+        values = ((math.cos(dif), math.cos(dif), math.sin(dif), -math.sin(dif)),
+                  (-math.sin(tot), math.sin(tot), math.cos(tot), math.cos(tot)))
+        out = []
+        for pairs, coefs in zip(SIGMA_X_PAIRS.values(), values):
+            m = np.zeros((4, 4))
+            for (i, j), coef in zip(pairs, coefs):
+                m[LEVEL_INDEX[i], LEVEL_INDEX[j]] += coef  # += keeps a -0.0 coefficient +0.0
+                m[LEVEL_INDEX[j], LEVEL_INDEX[i]] += coef
+            m.setflags(write=False)
+            out.append(m)
+        return tuple(out)
+
+    def coupling(self, qubit: int, upper: str, lower: str) -> float:
+        """Coefficient of sigma_{upper,lower} in sigma_x of ``qubit``, in either
+        pair order; 0.0 for a pair it does not couple."""
+        return float(self.sigma_x[qubit - 1][LEVEL_INDEX[upper], LEVEL_INDEX[lower]])
+
 
 def eigensystem(params: CircuitParams) -> EigenSystem:
     """Closed-form eigensystem of the coupled-qubit Hamiltonian."""
@@ -243,58 +270,6 @@ def eigensystem(params: CircuitParams) -> EigenSystem:
         theta_plus=math.atan2(sin_p, cos_p),
         theta_minus=math.atan2(sin_m, cos_m),
     )
-
-
-@dataclass(frozen=True)
-class TransitionTable:
-    """Projection of sigma_x1 / sigma_x2 onto the four-level eigenbasis.
-
-    ``x1``/``x2`` map transition pairs (i, j) to the coefficient of
-    sigma_ij = |i><j| (the hermitian conjugate is implied).
-    """
-
-    theta_plus: float
-    theta_minus: float
-    x1: dict = field(default_factory=dict)
-    x2: dict = field(default_factory=dict)
-
-    def coefficient(self, qubit: int, pair: tuple[str, str]) -> float:
-        table = self.x1 if qubit == 1 else self.x2
-        if pair in table:
-            return table[pair]
-        rev = (pair[1], pair[0])
-        if rev in table:
-            return table[rev]  # hermitian partner, same real coefficient
-        raise KeyError(f"unknown transition pair {pair}")
-
-    def sigma_x_matrix(self, qubit: int) -> np.ndarray:
-        """Reconstructed 4x4 sigma_x operator in the eigenbasis (a,b,c,d)."""
-        m = np.zeros((4, 4))
-        table = self.x1 if qubit == 1 else self.x2
-        for (i, j), coef in table.items():
-            m[LEVEL_INDEX[i], LEVEL_INDEX[j]] += coef
-            m[LEVEL_INDEX[j], LEVEL_INDEX[i]] += coef
-        return m
-
-
-def transition_table(es: EigenSystem) -> TransitionTable:
-    """Coefficients with which each sigma_x couples the four transitions."""
-    dif = es.theta_plus - es.theta_minus
-    tot = es.theta_plus + es.theta_minus
-    x1 = {
-        ("a", "b"): math.cos(dif),
-        ("d", "c"): math.cos(dif),
-        ("d", "b"): math.sin(dif),
-        ("a", "c"): -math.sin(dif),
-    }
-    x2 = {
-        ("a", "b"): -math.sin(tot),
-        ("d", "c"): math.sin(tot),
-        ("a", "c"): math.cos(tot),
-        ("d", "b"): math.cos(tot),
-    }
-    return TransitionTable(theta_plus=es.theta_plus, theta_minus=es.theta_minus,
-                           x1=x1, x2=x2)
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,11 @@ def _resonance_seeded(base: CircuitParams, bounds: dict, delta_ref: float,
     return seeds[:count]
 
 
+def _best_entry(history: list) -> tuple:
+    """The highest-fidelity entry; a tie goes to the smallest parameters."""
+    return max(history, key=lambda h: (h[1], tuple(-x for x in h[0])))
+
+
 def maximize_fidelity(e_mx: float, *, bounds_pct: float = DEFAULT_BOUNDS_PCT,
                       budget: int = DEFAULT_BUDGET, seed: int = 0,
                       base_params: CircuitParams | None = None,
@@ -200,8 +205,7 @@ def maximize_fidelity(e_mx: float, *, bounds_pct: float = DEFAULT_BOUNDS_PCT,
 
     remaining = budget - evaluations
     if remaining > 3 and history:
-        best = max(history, key=lambda h: (h[1], tuple(-x for x in h[0])))
-        minimize(lambda x: -objective(x), x0=np.array(best[0]),
+        minimize(lambda x: -objective(x), x0=np.array(_best_entry(history)[0]),
                  method="Nelder-Mead",
                  options={"maxfev": remaining, "xatol": 1e-5, "fatol": 1e-7})
 
@@ -209,7 +213,7 @@ def maximize_fidelity(e_mx: float, *, bounds_pct: float = DEFAULT_BOUNDS_PCT,
         raise OptimizationError(
             f"no candidate produced a valid gate within gate-time bounds "
             f"{gate_time_bounds} ns at e_mx = {e_mx} GHz")
-    best = max(history, key=lambda h: (h[1], tuple(-x for x in h[0])))
+    best = _best_entry(history)
     return OptimizationResult(
         e_mx=e_mx, best_params=best[0], best_gate_time=best[2],
         fidelity=best[1], evaluations=evaluations, history=tuple(history))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import CircuitParams, EigenSystem, eigensystem, transition_table
+from .circuit import SIGMA_X_PAIRS, CircuitParams, EigenSystem, eigensystem
 from .errors import FrameError, SchemeError, SingularityError
 from .hamiltonian import Hamiltonian
 from .operators import (FockCutoffs, LEVELS, LEVEL_INDEX, embed_level_matrix, fock_ladders,
@@ -64,7 +64,7 @@ class SchemeSpec:
     balance: Callable       # (delta_eps1, delta_eps2) -> balanced Delta_F
     gate_scale: float       # canonical gate time 1 / (gate_scale |chi|)
     four_photon: tuple | None = None  # (label, lab Delta_F from (freqs, omega_a1, omega_a2))
-    matched: tuple | None = None      # (slot, its frequency from (freqs, wa1, wa2, Delta_F))
+    matched: int | None = None        # the drive slot whose frequency four_photon sets
     oracle_pair: tuple | None = None  # ((n1, n2), (n1, n2), element); None: sector oracle
     oracle_cutoffs: FockCutoffs = FockCutoffs(1, 1)
 
@@ -138,8 +138,8 @@ SPECS: dict[Scheme, SchemeSpec] = {
         chi=lambda d1, d2, dd, g1, g2, r1, r2: r1 * r2 * g1**2 / (d1 * d2 * dd),
         balance=lambda de1, de2: 2.0 * de1,
         gate_scale=4.0 * math.pi,
-        # delta1 is set by the circuit; drive 1 follows from four-photon matching
-        matched=(1, lambda f, wa1, wa2, df: f[2] - 2.0 * wa1 - df),
+        four_photon=("omega2-omega1-2omega_a1", lambda f, wa1, wa2: f[2] - f[1] - 2.0 * wa1),
+        matched=1,  # delta1 is set by the circuit; four-photon matching sets drive 1
         oracle_pair=((0, 0), (2, 0), math.sqrt(2.0)),
         # the pair-creation tower must end right above the dressed pair,
         # otherwise tower repulsion contaminates the pair coupling
@@ -263,14 +263,13 @@ def build_scheme_frame(params: CircuitParams, scheme: Scheme,
         raise SchemeError("drives must occupy distinct slots 1..n")
 
     es = eigensystem(params)
-    table = transition_table(es)
     coefs = {f"rabi{k}": by_slot[k].rabi if k in by_slot else 0.0 for k in (1, 2)}
     # g1 cos(th+ - th-) and g2 cos(th+ + th-); 0 for a mode this frame decouples
-    for mode, g, pair in ((1, params.g1, ("d", "c")), (2, params.g2, ("d", "b"))):
-        coefs[f"gtilde{mode}"] = g * table.coefficient(mode, pair) if spec.retained[mode] else 0.0
+    for mode, g, pair in ((1, params.g1, "dc"), (2, params.g2, "db")):
+        coefs[f"gtilde{mode}"] = g * es.coupling(mode, *pair) if spec.retained[mode] else 0.0
 
     wa1, wa2 = params.omega_a1, params.omega_a2
-    matched = by_slot[spec.matched[0]] if spec.matched else None
+    matched = by_slot[spec.matched] if spec.matched else None
     notes, freqs, set_by_drive = [], {}, {}
     for slot, pair in spec.drives.items():
         dr = by_slot[slot]
@@ -314,19 +313,21 @@ def build_scheme_frame(params: CircuitParams, scheme: Scheme,
     det = replace(det, delta_f=df)
 
     # four-photon lab-frequency bookkeeping
-    if spec.four_photon:
+    if matched is not None:
+        # the matched drive enters the relation with sign -1: the relation at
+        # a zero drive frequency, minus Delta_F, is that frequency
+        slot, given = matched.slot, matched.frequency
+        freqs[slot] = solved = spec.four_photon[1]({**freqs, slot: 0.0}, wa1, wa2) - df
+        if given is not None and abs(given - solved) > 1e-3:
+            notes.append(f"drive-{slot} frequency input {given:.6g} GHz vs four-photon "
+                         f"matched value {solved:.6g} GHz")
+        notes.append(f"drive-{slot} frequency from four-photon matching: {solved:.6g} GHz")
+    elif spec.four_photon:
         label, lab_delta_f = spec.four_photon
         lab_df = lab_delta_f(freqs, wa1, wa2)
         if abs(lab_df - df) > 1e-3:
             notes.append(f"four-photon frequency matching: {label} = "
                          f"{lab_df:.6g} GHz vs balanced Delta_F {df:.6g} GHz")
-    if matched is not None:
-        slot, given = matched.slot, matched.frequency
-        freqs[slot] = solved = spec.matched[1](freqs, wa1, wa2, df)
-        if given is not None and abs(given - solved) > 1e-3:
-            notes.append(f"drive-{slot} frequency input {given:.6g} GHz vs four-photon "
-                         f"matched value {solved:.6g} GHz")
-        notes.append(f"drive-{slot} frequency from four-photon matching: {solved:.6g} GHz")
 
     return SchemeFrame(scheme=scheme, cutoffs=cutoffs, detunings=det, coefficients=coefs,
                        drive_frequencies=freqs, params=params, notes=tuple(notes)), det
@@ -387,9 +388,7 @@ def build_full_hamiltonian(params: CircuitParams,
     the lab amplitude of a unit-coefficient transition.
     """
     es = eigensystem(params)
-    table = transition_table(es)
-    s1 = table.sigma_x_matrix(1)
-    s2 = table.sigma_x_matrix(2)
+    s1, s2 = es.sigma_x
     n1, n2, q1, q2, q1q2 = _mode_pieces(cutoffs)
     # every term is (4x4 level matrix) x (mode piece), each entry a single
     # product; the sums follow the order of the full-dimension construction,
@@ -536,13 +535,11 @@ def lab_drives(frame: SchemeFrame) -> tuple[DriveSpec, ...]:
     coefficient. In the returned specs ``slot`` names the driven qubit as
     :func:`build_full_hamiltonian` expects.
     """
-    table = transition_table(frame.eigen)
     out = []
     for slot, rabi in ((1, frame.coefficients["rabi1"]), (2, frame.coefficients["rabi2"])):
         if not rabi:
             continue
-        pair = tuple(frame.spec.drives[slot])
-        coefs = {q: table.coefficient(q, pair) for q in (1, 2)}
+        coefs = {q: frame.eigen.coupling(q, *frame.spec.drives[slot]) for q in (1, 2)}
         qubit = max(coefs, key=lambda q: abs(coefs[q]))
         freq = frame.drive_frequencies.get(slot)
         if freq is None or freq <= 0:
@@ -566,7 +563,6 @@ class DispersiveEntry:
 class DispersiveReport:
     entries: tuple
     unwanted: tuple   # (label, coupling_GHz, detuning_GHz)
-    threshold: float
 
     @property
     def passed(self) -> bool:
@@ -621,14 +617,11 @@ def dispersive_check(frame: SchemeFrame) -> DispersiveReport:
         if amp:
             ratio_entry(label, amp, denom)
 
-    table = transition_table(frame.eigen)
-    unwanted = []
-    p = frame.params
-    for mode, g, wa, elements in ((1, p.g1, p.omega_a1, table.x1),
-                                  (2, p.g2, p.omega_a2, table.x2)):
-        for (i, j), coef in elements.items():
-            if i + j in spec.retained[mode]:
+    es, p, unwanted = frame.eigen, frame.params, []
+    for mode, g, wa in ((1, p.g1, p.omega_a1), (2, p.g2, p.omega_a2)):
+        for pair in SIGMA_X_PAIRS[mode]:
+            if pair in spec.retained[mode]:
                 continue
-            e_ij = abs(frame.eigen.transition_energy(i, j))
-            unwanted.append((f"mode{mode} {i}{j}", g * abs(coef), abs(wa - e_ij)))
-    return DispersiveReport(tuple(entries), tuple(unwanted), DISPERSIVE_THRESHOLD)
+            unwanted.append((f"mode{mode} {pair}", g * abs(es.coupling(mode, *pair)),
+                             abs(wa - abs(es.transition_energy(*pair)))))
+    return DispersiveReport(tuple(entries), tuple(unwanted))

@@ -1,13 +1,12 @@
 """Analytic eigensystem against brute-force diagonalization, capacitance
-closed forms, transition tables, and the b0 energy sweep."""
+closed forms, the sigma_x projections, and the b0 energy sweep."""
 
 import numpy as np
 import pytest
 from scipy.constants import e as Q_E, h as PLANCK
 
 from fwmsim.circuit import (CapacitanceSet, CircuitParams, EigenSystem,
-                            derive_couplings, eigensystem, energy_sweep,
-                            transition_table)
+                            derive_couplings, eigensystem, energy_sweep)
 from fwmsim.errors import DegeneracyError
 
 # ---------------------------------------------------------------------------
@@ -94,7 +93,7 @@ def test_degeneracy_error_names_splitting():
 
 
 # ---------------------------------------------------------------------------
-# transition table
+# sigma_x projections onto the transitions
 
 def test_transition_table_basis_change_oracle():
     rng = np.random.RandomState(17)
@@ -103,11 +102,10 @@ def test_transition_table_basis_change_oracle():
                     rng.uniform(0.05, 6), rng.uniform(-2, 2))
         es = eigensystem(p)
         v = es.eigenvector_matrix()
-        table = transition_table(es)
         x1_oracle = v.conj().T @ np.kron(_SX, _I2) @ v
         x2_oracle = v.conj().T @ np.kron(_I2, _SX) @ v
-        np.testing.assert_allclose(table.sigma_x_matrix(1), x1_oracle, atol=1e-12)
-        np.testing.assert_allclose(table.sigma_x_matrix(2), x2_oracle, atol=1e-12)
+        np.testing.assert_allclose(es.sigma_x[0], x1_oracle, atol=1e-12)
+        np.testing.assert_allclose(es.sigma_x[1], x2_oracle, atol=1e-12)
 
 
 def test_transition_table_hermitian_involutory():
@@ -115,9 +113,7 @@ def test_transition_table_hermitian_involutory():
     for _ in range(30):
         p = _params(rng.uniform(1, 20), rng.uniform(1, 20),
                     rng.uniform(0.1, 6), rng.uniform(-2, 2))
-        table = transition_table(eigensystem(p))
-        for q in (1, 2):
-            x = table.sigma_x_matrix(q)
+        for x in eigensystem(p).sigma_x:
             assert np.max(np.abs(x - x.conj().T)) < 1e-10
             assert np.max(np.abs(x @ x - np.eye(4))) < 1e-10
 
@@ -125,23 +121,40 @@ def test_transition_table_hermitian_involutory():
 def test_transition_table_zero_angles():
     es = EigenSystem(e_a=-1, e_b=-0.5, e_c=0.5, e_d=1, e_s_plus=2, e_s_minus=1,
                      theta_plus=0.0, theta_minus=0.0)
-    table = transition_table(es)
-    assert table.coefficient(1, ("a", "b")) == pytest.approx(1.0)
-    assert table.coefficient(1, ("d", "c")) == pytest.approx(1.0)
-    assert table.coefficient(1, ("d", "b")) == pytest.approx(0.0, abs=1e-15)
-    assert table.coefficient(1, ("a", "c")) == pytest.approx(0.0, abs=1e-15)
+    assert es.coupling(1, "a", "b") == pytest.approx(1.0)
+    assert es.coupling(1, "d", "c") == pytest.approx(1.0)
+    assert es.coupling(1, "d", "b") == pytest.approx(0.0, abs=1e-15)
+    assert es.coupling(1, "a", "c") == pytest.approx(0.0, abs=1e-15)
 
 
 def test_transition_table_cross_kerr_point_selectivity():
     # wanted transitions near full strength, unwanted angle-suppressed
     es = eigensystem(_params(8.45, 13.95, 4.0, -0.61))
-    table = transition_table(es)
-    assert abs(table.coefficient(1, ("d", "c"))) >= 0.95
-    assert abs(table.coefficient(1, ("a", "b"))) >= 0.95
-    assert abs(table.coefficient(1, ("d", "b"))) <= 0.05
-    assert abs(table.coefficient(1, ("a", "c"))) <= 0.05
+    assert abs(es.coupling(1, "d", "c")) >= 0.95
+    assert abs(es.coupling(1, "a", "b")) >= 0.95
+    assert abs(es.coupling(1, "d", "b")) <= 0.05
+    assert abs(es.coupling(1, "a", "c")) <= 0.05
     # effective coupling scale: gtilde ~ g for the wanted ones
-    assert 0.3 * table.coefficient(1, ("d", "c")) == pytest.approx(0.3, abs=0.01)
+    assert 0.3 * es.coupling(1, "d", "c") == pytest.approx(0.3, abs=0.01)
+
+
+def test_sigma_x_read_only_cached_and_pair_symmetric():
+    es = eigensystem(_params(8.45, 13.95, 4.0, -0.61))
+    first = es.sigma_x
+    assert es.sigma_x is first
+    assert all(x is y for x, y in zip(es.sigma_x, first))
+    for x in first:
+        assert x.shape == (4, 4) and not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0, 1] = 0.0
+    for q in (1, 2):
+        for i in "abcd":
+            for j in "abcd":
+                assert es.coupling(q, i, j) == es.coupling(q, j, i)
+        # sigma_x couples neither a-d nor b-c
+        for i, j in ("ad", "bc"):
+            assert es.coupling(q, i, j) == 0.0
+            assert type(es.coupling(q, i, j)) is float
 
 
 # ---------------------------------------------------------------------------

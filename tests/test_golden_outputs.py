@@ -55,6 +55,16 @@ ORACLE_SHA256 = {
     "two_mode_squeeze.json": "b9e1986259b741545ba70bda33cc4160960cf30845d560c095dc9c3aa9efcf62",
 }
 
+# stdout of derive --oracle: the dispersive report, its unwanted-transition
+# lines in per-qubit report order, the notes and the oracle line
+ORACLE_STDOUT_SHA256 = {
+    "beam_splitter.json": "54a9b1a6122d50398ec979779460806d09f838d19306546239055f27a8548399",
+    "cross_kerr.json": "7bd1923632bd93779c37ee8189acef8f6b7284a339379258f68c9ec22a059e11",
+    "single_mode_squeeze.json":
+        "7be0af4c40a52e963a465757d291e33fdbdaac3081f28f2a9ac799c7af2ae9ff",
+    "two_mode_squeeze.json": "3ae7d6fc529aad69e58901f40635e29722c88312adc8ca918407a711c98e5a76",
+}
+
 # per preset scheme at cutoffs (2, 2): h_i0, v_static, and (matrix, frequency)
 # of each oscillating term
 FRAME_SHA256 = {
@@ -85,22 +95,30 @@ def _sha(matrix: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(matrix + 0.0).tobytes()).hexdigest()
 
 
-def _derive_digest(name, tmp_path, monkeypatch, *flags):
+def _derive(name, tmp_path, monkeypatch, *flags):
+    """(sha256 of derive.json, sha256 of stdout) of one derive job."""
     monkeypatch.chdir(tmp_path)
-    with contextlib.redirect_stdout(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         assert main(["derive", "--config", os.path.join(CONFIG_DIR, name),
                      "--out", "out", *flags]) == 0
-    return hashlib.sha256((tmp_path / "out" / "derive.json").read_bytes()).hexdigest()
+    return (hashlib.sha256((tmp_path / "out" / "derive.json").read_bytes()).hexdigest(),
+            hashlib.sha256(out.getvalue().encode()).hexdigest())
 
 
 @pytest.mark.parametrize("name", sorted(DERIVE_SHA256))
 def test_derive_json_bytes(name, tmp_path, monkeypatch):
-    assert _derive_digest(name, tmp_path, monkeypatch) == DERIVE_SHA256[name]
+    assert _derive(name, tmp_path, monkeypatch)[0] == DERIVE_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SHA256))
 def test_derive_oracle_json_bytes(name, tmp_path, monkeypatch):
-    assert _derive_digest(name, tmp_path, monkeypatch, "--oracle") == ORACLE_SHA256[name]
+    assert _derive(name, tmp_path, monkeypatch, "--oracle")[0] == ORACLE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_STDOUT_SHA256))
+def test_derive_oracle_stdout_bytes(name, tmp_path, monkeypatch):
+    assert _derive(name, tmp_path, monkeypatch, "--oracle")[1] == ORACLE_STDOUT_SHA256[name]
 
 
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
@@ -115,6 +133,8 @@ def test_frame_matrix_bytes(scheme):
 
 
 _LAB_SHORT = {"frame": "lab", "duration_ns": 0.005, "points": 11}
+with open(os.path.join(CONFIG_DIR, "beam_splitter.json")) as _fh:
+    _BM_CIRCUIT = json.load(_fh)["circuit"]
 
 # case -> (config, command, extra flags, replaced config sections,
 #          {output file: sha256}, or {"exit": code, "stderr": text} of a rejected job)
@@ -146,6 +166,12 @@ JOB_SHA256 = {
     "run-lab-sq1": ("single_mode_squeeze.json", "run", (), {"simulation": _LAB_SHORT}, {
         "summary.json": "b15a311b0d97bf0ef3ddf8191c5f006975f2281eed5b37cc35517c31edccfdc1",
         "trajectory.csv": "8762607f21cb06a595bb8a2e3e2470e61abd9dc848334bf4a859d42457437d64"}),
+    # cross-talk couplings g2_1, g2_2 and g3 on both sigma_x projections
+    "run-lab-bm-crosstalk": ("beam_splitter.json", "run", (), {
+        "circuit": {**_BM_CIRCUIT, "g2_1": 0.02, "g2_2": 0.03, "g3": 0.005},
+        "simulation": _LAB_SHORT}, {
+        "summary.json": "a6580a895b6122a4719fdf826a57ad26d42f8d0a05067d6820f061a669413dad",
+        "trajectory.csv": "1cc67ac9c64f34e995ff5735c2896d431afce1c7fdcd8d6ffd9bcda953081af1"}),
     # static lab Hamiltonian over the whole gate; its norm_drift shows a
     # change in the last bit of the propagated states
     "run-lab-ck": ("cross_kerr.json", "run", (), {"simulation": {"frame": "lab"}}, {

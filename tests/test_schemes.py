@@ -7,7 +7,7 @@ import functools
 import numpy as np
 import pytest
 
-from fwmsim.circuit import CircuitParams, eigensystem, transition_table
+from fwmsim.circuit import CircuitParams, eigensystem
 from fwmsim.errors import FrameError, SchemeError
 from fwmsim.operators import (FockCutoffs, basis_state, destroy, embed_level_matrix,
                               mode_operator, product_state)
@@ -175,9 +175,8 @@ def test_full_hamiltonian_crosstalk_terms():
 def _matmul_full_hamiltonian(params, drives, cut):
     """Full Hamiltonian assembled from full-dimension operators and
     full-dimension matrix products."""
-    table = transition_table(eigensystem(params))
-    x1 = embed_level_matrix(cut, table.sigma_x_matrix(1))
-    x2 = embed_level_matrix(cut, table.sigma_x_matrix(2))
+    s1, s2 = eigensystem(params).sigma_x
+    x1, x2 = embed_level_matrix(cut, s1), embed_level_matrix(cut, s2)
     h = embed_level_matrix(cut, np.diag(eigensystem(params).energies))
     h = h + params.omega_a1 * mode_operator(cut, 1, "number") \
         + params.omega_a2 * mode_operator(cut, 2, "number")
@@ -213,8 +212,7 @@ def _kron_full_hamiltonian(params, drives, cut):
     """Full Hamiltonian with every term an ``np.kron`` of a 4x4 level matrix
     and a Fock-space piece, summed in the order of the matmul construction."""
     es = eigensystem(params)
-    table = transition_table(es)
-    s1, s2 = table.sigma_x_matrix(1), table.sigma_x_matrix(2)
+    s1, s2 = es.sigma_x
     a1, a2 = destroy(cut.dim1), destroy(cut.dim2)
     i1, i2, i4 = np.eye(cut.dim1), np.eye(cut.dim2), np.eye(4)
     q1, q2 = np.kron(a1 + a1.conj().T, i2), np.kron(i1, a2 + a2.conj().T)
@@ -487,10 +485,9 @@ def test_lab_drives_mapping():
     frame, _ = _frame_for(Scheme.BEAM_SPLITTER)
     drives = lab_drives(frame)
     assert len(drives) == 2
-    table = transition_table(frame.eigen)
     # drive 1 addresses the (c, a) transition through the stronger sigma_x
     for d, pair, rabi in zip(drives, (("c", "a"), ("b", "a")), (1.5, 1.5)):
-        coef = table.coefficient(d.slot, pair)
+        coef = frame.eigen.coupling(d.slot, *pair)
         assert d.rabi * abs(coef) == pytest.approx(rabi, rel=1e-12)
         assert d.frequency > 0
 
