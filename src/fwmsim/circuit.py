@@ -14,11 +14,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import e as ELEMENTARY_CHARGE, h as PLANCK_H
 
 from .errors import DegeneracyError
 from .operators import LEVEL_INDEX, LEVELS
 
+ELEMENTARY_CHARGE = 1.602176634e-19  # C; exact in the 2019 SI
+PLANCK_H = 6.62607015e-34            # J s; exact in the 2019 SI
 DEGENERACY_TOL = 1e-6  # GHz; below this the mixing angles are ill-defined
 REGIME_RATIO = 10.0    # the factor ">>" stands for in C_sigma_ri >> C_sigma_i >> C_m
 # level pairs each qubit's sigma_x couples, in the order reports list them;

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import SingularityError, TruncationError
 from .operators import FockCutoffs, fock_ladders
@@ -143,6 +142,8 @@ class IdealOperation:
 
 
 def _ideal_unitary(spec: IdealOpSpec, cutoffs: FockCutoffs) -> np.ndarray:
+    from scipy.linalg import expm  # only here, so no other command loads scipy
+
     a1, a2 = fock_ladders(cutoffs)
     phi, ph = spec.angle, spec.phase
     if spec.kind == "beam_splitter":

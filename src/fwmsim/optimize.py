@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .circuit import CircuitParams
 from .dynamics import computational_indices
@@ -205,6 +204,7 @@ def maximize_fidelity(e_mx: float, *, bounds_pct: float = DEFAULT_BOUNDS_PCT,
 
     remaining = budget - evaluations
     if remaining > 3 and history:
+        from scipy.optimize import minimize  # only here, so no other command loads scipy
         minimize(lambda x: -objective(x), x0=np.array(_best_entry(history)[0]),
                  method="Nelder-Mead",
                  options={"maxfev": remaining, "xatol": 1e-5, "fatol": 1e-7})

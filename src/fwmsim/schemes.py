@@ -189,6 +189,8 @@ class SchemeFrame:
     included) and ``osc_terms`` the oscillating pairs (M, nu) meaning
     M exp(+i 2 pi nu t) + h.c. So a ``dataclasses.replace`` of the cutoffs,
     detunings or coefficients gives a frame whose matrices follow them.
+    ``eigen`` is the eigensystem of ``params``: a built frame holds the one
+    its build computed, and a replaced frame computes its own.
     """
 
     scheme: Scheme
@@ -329,8 +331,10 @@ def build_scheme_frame(params: CircuitParams, scheme: Scheme,
             notes.append(f"four-photon frequency matching: {label} = "
                          f"{lab_df:.6g} GHz vs balanced Delta_F {df:.6g} GHz")
 
-    return SchemeFrame(scheme=scheme, cutoffs=cutoffs, detunings=det, coefficients=coefs,
-                       drive_frequencies=freqs, params=params, notes=tuple(notes)), det
+    frame = SchemeFrame(scheme=scheme, cutoffs=cutoffs, detunings=det, coefficients=coefs,
+                        drive_frequencies=freqs, params=params, notes=tuple(notes))
+    frame.__dict__["eigen"] = es  # the cached property's value, not a field
+    return frame, det
 
 
 def _frame_matrices(spec: SchemeSpec, det: Detunings, cutoffs: FockCutoffs,

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.constants import e as Q_E, h as PLANCK
 
-from fwmsim.circuit import (CapacitanceSet, CircuitParams, EigenSystem,
-                            derive_couplings, eigensystem, energy_sweep)
+from fwmsim.circuit import (ELEMENTARY_CHARGE, PLANCK_H, CapacitanceSet, CircuitParams,
+                            EigenSystem, derive_couplings, eigensystem, energy_sweep)
 from fwmsim.errors import DegeneracyError
 
 # ---------------------------------------------------------------------------
@@ -170,6 +170,12 @@ def test_decoupled_islands():
     d = derive_couplings(_caps(c_m=0.0), 10.0, 16.0)
     assert d.e_mx == 0.0 and d.g2_1 == 0.0 and d.g2_2 == 0.0 and d.g3 == 0.0
     assert d.g1 > 0 and d.g2 > 0
+
+
+def test_si_constants_equal_scipy():
+    # exact in the 2019 SI, so the literals are scipy's values to the bit
+    assert ELEMENTARY_CHARGE == Q_E
+    assert PLANCK_H == PLANCK
 
 
 def test_symmetric_capacitance_formula():

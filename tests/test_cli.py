@@ -340,6 +340,77 @@ def test_cli_import_does_not_load_csgraph():
     assert proc.stdout.strip() == "False"
 
 
+# prints the scipy modules loaded after importing the CLI, the exit code of
+# each CLI job in argv[1] (a JSON list of argument lists), and the scipy
+# modules loaded after them; CLI output goes to stdout before that last line
+_SCIPY_PROBE = """
+import json, sys
+from fwmsim.cli import main
+def scipy_modules():
+    return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+after_import = scipy_modules()
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([after_import, codes, scipy_modules()]))
+"""
+
+
+def _scipy_probe(jobs, epilogue=""):
+    """Run the probe, then ``epilogue``, in a fresh interpreter; return the
+    JSON value of each of the last stdout lines that the two print."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fwmsim.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE + epilogue, json.dumps(jobs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    return [json.loads(line) for line in lines[-1 - bool(epilogue):]]
+
+
+def test_derive_run_and_b0_sweep_load_no_scipy(tmp_path):
+    # scipy is a third of a second of start-up; only the fidelity search and
+    # the ideal operations use it
+    def job(command, config, flags=(), **sections):
+        doc = json.load(open(os.path.join(CONFIG_DIR, config)))
+        doc.update(sections)
+        path = tmp_path / f"{len(jobs)}.json"
+        path.write_text(json.dumps(doc))
+        jobs.append([command, *flags, "--config", str(path),
+                     "--out", str(tmp_path / str(len(jobs)))])
+
+    jobs = []
+    job("derive", "beam_splitter.json", ["--oracle"])
+    job("derive", "single_mode_squeeze.json", ["--oracle"])
+    job("run", "cross_kerr.json")
+    job("run", "beam_splitter.json",
+        simulation={"frame": "lab", "duration_ns": 0.001, "points": 3})
+    job("sweep", "cross_kerr.json",
+        sweep={"variable": "b0", "start": -1.5, "stop": 1.5, "points": 21})
+    [(after_import, codes, after_jobs)] = _scipy_probe(jobs)
+    assert after_import == []
+    assert codes == [0] * len(jobs)
+    assert after_jobs == []
+
+
+def test_search_and_ideal_operation_load_scipy_when_called(tmp_path):
+    # the deferred imports run: expm for an ideal operation, Nelder-Mead for
+    # a search with budget left after the seeded samples
+    cfg = as_config(cross_kerr_point())
+    cfg["optimize"] = {"budget": 12}
+    path = tmp_path / "ck.json"
+    path.write_text(json.dumps(cfg))
+    epilogue = """
+import numpy as np
+from fwmsim import FockCutoffs, IdealOpSpec, ideal_operation
+u = ideal_operation(IdealOpSpec(kind="beam_splitter", angle=0.3), FockCutoffs(2, 2)).unitary
+print(json.dumps([u.shape, np.allclose(u.conj().T @ u, np.eye(9)), "scipy.linalg" in sys.modules]))
+"""
+    (after_import, codes, after_search), operated = _scipy_probe(
+        [["optimize", "--config", str(path), "--out", str(tmp_path)]], epilogue)
+    assert after_import == [] and codes == [0]
+    assert "scipy.optimize" in after_search
+    assert json.load(open(tmp_path / "optimize.json"))["evaluations"] == 12
+    assert operated == [[9, 9], True, True]
+
+
 def test_derive_output_independent_of_hash_seed(tmp_path):
     # the dispersive entries follow a fixed order, not the string-hash seed
     config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

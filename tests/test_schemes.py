@@ -7,6 +7,7 @@ import functools
 import numpy as np
 import pytest
 
+from fwmsim import circuit, schemes
 from fwmsim.circuit import CircuitParams, eigensystem
 from fwmsim.errors import FrameError, SchemeError
 from fwmsim.operators import (FockCutoffs, basis_state, destroy, embed_level_matrix,
@@ -490,6 +491,27 @@ def test_lab_drives_mapping():
         coef = frame.eigen.coupling(d.slot, *pair)
         assert d.rabi * abs(coef) == pytest.approx(rabi, rel=1e-12)
         assert d.frequency > 0
+
+
+def test_frame_reuses_its_build_eigensystem(monkeypatch):
+    # the build's eigensystem is the frame's: reading it again (through
+    # dispersive_check and lab_drives) computes nothing
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return eigensystem(params)
+
+    monkeypatch.setattr(circuit, "eigensystem", counted)
+    monkeypatch.setattr(schemes, "eigensystem", counted)
+    frame, _ = _frame_for(Scheme.BEAM_SPLITTER)
+    dispersive_check(frame)
+    lab_drives(frame)
+    assert len(calls) == 1
+    # a frame replaced with other params computes their eigensystem
+    p2 = dataclasses.replace(frame.params, b0=frame.params.b0 + 0.05)
+    moved = dataclasses.replace(frame, params=p2)
+    assert moved.eigen == eigensystem(p2) != frame.eigen
 
 
 # ---------------------------------------------------------------------------
