@@ -129,8 +129,7 @@ def cmd_run(cfg: ResolvedConfig, args) -> int:
             raise ConfigError("simulation.duration_ns", f"the gate time {duration:g} ns "
                               f"is beyond {MAX_ABS:g} ns; give a duration")
     points = cfg.simulation["points"]
-    times = np.array([0.0]) if duration == 0 else \
-        np.linspace(0.0, duration, max(points, 2))
+    times = np.array([0.0]) if duration == 0 else np.linspace(0.0, duration, points)
     psi0, refs = _reference_states(frame, ep)
 
     if cfg.simulation["frame"] == "interaction":
@@ -175,6 +174,15 @@ def cmd_run(cfg: ResolvedConfig, args) -> int:
     return 0
 
 
+def _search(cfg: ResolvedConfig, e_mx: float):
+    """The config's fidelity search (its ``optimize`` section) at ``e_mx``."""
+    opt = cfg.optimize
+    return maximize_fidelity(
+        e_mx, bounds_pct=opt["bounds_pct"], budget=opt["budget"], seed=cfg.seed,
+        base_params=cfg.params, cutoffs=cfg.cutoffs,
+        gate_time_bounds=tuple(opt["gate_time_ns"]), time_points=opt["time_points"])
+
+
 def cmd_sweep(cfg: ResolvedConfig, args) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep", "missing sweep section for the sweep command")
@@ -190,11 +198,7 @@ def cmd_sweep(cfg: ResolvedConfig, args) -> int:
         print(f"wrote {path}")
         return 0
     values = np.linspace(cfg.sweep["start"], cfg.sweep["stop"], cfg.sweep["points"])
-    results = [maximize_fidelity(
-        float(e_mx), bounds_pct=cfg.optimize["bounds_pct"], budget=cfg.sweep["budget"],
-        seed=cfg.seed, base_params=cfg.params, cutoffs=cfg.cutoffs,
-        gate_time_bounds=tuple(cfg.sweep["gate_time_ns"]),
-        time_points=cfg.optimize["time_points"]) for e_mx in values]
+    results = [_search(cfg, float(e_mx)) for e_mx in values]
     rows = np.array([(r.e_mx, r.fidelity, r.best_gate_time, *r.best_params) for r in results])
     path = os.path.join(out_dir, "fidelity_sweep.csv")
     write_csv(path, ["emx_GHz", "fidelity", "gate_time_ns", "EJ1", "EJ2", "b0"],
@@ -204,12 +208,7 @@ def cmd_sweep(cfg: ResolvedConfig, args) -> int:
 
 
 def cmd_optimize(cfg: ResolvedConfig, args) -> int:
-    opt = cfg.optimize
-    result = maximize_fidelity(
-        opt["e_mx"], bounds_pct=opt["bounds_pct"], budget=opt["budget"],
-        seed=cfg.seed, base_params=cfg.params, cutoffs=cfg.cutoffs,
-        gate_time_bounds=tuple(opt["gate_time_ns"]),
-        time_points=opt["time_points"])
+    result = _search(cfg, cfg.optimize["e_mx"])
     print(f"e_mx = {result.e_mx} GHz: fidelity {result.fidelity:.6f} at "
           f"gate time {result.best_gate_time:.3f} ns "
           f"({result.evaluations} evaluations)")
@@ -262,6 +261,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         cfg = _apply_overrides(cfg, args)
+        for warning in cfg.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
         return args.func(cfg, args)
     except (ConfigError, SchemeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

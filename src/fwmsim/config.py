@@ -16,7 +16,7 @@ import json
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .circuit import CapacitanceSet, CircuitParams
+from .circuit import CapacitanceSet, CircuitParams, derive_couplings
 from .dynamics import DEFAULT_POINTS
 from .errors import ConfigError
 from .operators import FockCutoffs
@@ -37,6 +37,7 @@ _NON_NEGATIVE = (lambda x: x >= 0, ">= 0")
 _POSITIVE = (lambda x: x > 0, "> 0")
 _AT_LEAST_1 = (lambda n: n >= 1, ">= 1")
 _POINTS = (lambda n: 1 <= n <= MAX_POINTS, f"in [1, {MAX_POINTS}]")
+_SAMPLES = (lambda n: 2 <= n <= MAX_POINTS, f"in [2, {MAX_POINTS}]")  # both ends of a span
 
 
 @dataclass(frozen=True)
@@ -181,9 +182,9 @@ def _drives(v, where: str) -> list:
     return [_section(d, f"{where}[{i}]", _DRIVE) for i, d in enumerate(v)]
 
 
+# the axis only: an emx sweep runs the optimize section's search at each point
 _SWEEP = {"variable": _choice("b0", "emx"), "start": _number(), "stop": _number(),
-          "points": _integer(bound=_POINTS), "budget": _integer(DEFAULT_BUDGET, _AT_LEAST_1),
-          "gate_time_ns": _Field(_bounds_pair, DEFAULT_GATE_TIME_BOUNDS)}
+          "points": _integer(bound=_POINTS)}
 
 
 def _sweep(doc, where: str) -> dict:
@@ -203,7 +204,7 @@ _CUTOFFS = {key: _integer(getattr(FockCutoffs(), key), _CUTOFF)
 _DETUNINGS = {"delta1": _number(), "delta2": _number(), "delta": _number()}
 _SIMULATION = {"frame": _choice("interaction", "lab", default="interaction"),
                "duration_ns": _number(None, _NON_NEGATIVE),  # None: the gate time
-               "points": _integer(DEFAULT_POINTS, _POINTS)}
+               "points": _integer(DEFAULT_POINTS, _SAMPLES)}
 _OPTIMIZE = {"e_mx": _number(_OMIT, _NON_NEGATIVE),  # absent: the circuit's e_mx
              "budget": _integer(DEFAULT_BUDGET, _AT_LEAST_1),
              "bounds_pct": _number(DEFAULT_BOUNDS_PCT, (lambda x: 0 < x < 1, "in (0, 1)")),
@@ -236,6 +237,17 @@ class ResolvedConfig:
     @property
     def config_hash(self) -> str:
         return config_hash(self.doc)
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """Valid inputs outside the model's range, each led by its field path:
+        capacitances that break the hierarchy their closed forms assume."""
+        circuit = self.doc["circuit"]
+        if "capacitances" not in circuit:
+            return ()
+        derived = derive_couplings(CapacitanceSet(**circuit["capacitances"]),
+                                   circuit["omega_a1"], circuit["omega_a2"])
+        return tuple(f"circuit.capacitances: {w}" for w in derived.warnings)
 
 
 def config_hash(doc: dict) -> str:

@@ -39,10 +39,24 @@ def write_csv(path: str, header: list[str], rows, cfg_hash: str) -> None:
             fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
+def _finite(value):
+    """``value`` with every non-finite float, also in nested dicts and
+    lists, replaced by None: strict JSON has no NaN or Infinity."""
+    if isinstance(value, float):
+        return value if abs(value) < float("inf") else None  # False for NaN too
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def write_json(path: str, payload: dict, cfg_hash: str) -> None:
+    """Write ``payload`` under a version and config-hash header as strict
+    JSON; a non-finite number (an infinite gate time at chi = 0) is null."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     doc = {"version": __version__, "config_hash": cfg_hash}
     doc.update(payload)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(_finite(doc), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -250,11 +250,15 @@ def build_scheme_frame(params: CircuitParams, scheme: Scheme,
     ``detunings`` overrides these circuit-derived values verbatim, and each
     difference is recorded in the frame notes. Its ``delta_f`` is always
     ignored: ``delta_f`` sets the four-photon detuning, which otherwise is
-    the balancing value of the final detunings.
+    the balancing value of the final detunings. A scheme with no term
+    oscillating at Delta_F takes only ``delta_f`` 0 (or None).
     """
     from .effective import effective_params_from_values  # effective imports this module
 
     spec = SPECS[scheme]
+    if delta_f and spec.osc_term is None:
+        raise SchemeError(f"delta_f: scheme {scheme.value} has no term oscillating at "
+                          f"Delta_F, so it takes only 0, got {delta_f!r}")
     drives = tuple(drives)
     if len(drives) != len(spec.drives):
         raise SchemeError(

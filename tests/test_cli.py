@@ -186,8 +186,8 @@ def test_sweep_emx_single_point_matches_direct(ck_config, tmp_path):
     from fwmsim.optimize import maximize_fidelity
     path, cfg = ck_config
     cfg = json.loads(json.dumps(cfg))
-    cfg["sweep"] = {"variable": "emx", "start": 4.0, "stop": 4.0, "points": 1,
-                    "budget": 8}
+    cfg["sweep"] = {"variable": "emx", "start": 4.0, "stop": 4.0, "points": 1}
+    cfg["optimize"] = {"budget": 8}
     cfg["seed"] = 9
     p = tmp_path / "emx.json"
     p.write_text(json.dumps(cfg))
@@ -196,6 +196,24 @@ def test_sweep_emx_single_point_matches_direct(ck_config, tmp_path):
     assert header == ["emx_GHz", "fidelity", "gate_time_ns", "EJ1", "EJ2", "b0"]
     direct = maximize_fidelity(4.0, budget=8, seed=9)
     assert rows[0][1] == pytest.approx(direct.fidelity, abs=1e-12)
+
+
+def test_sweep_emx_runs_the_optimize_search(ck_config, tmp_path):
+    from fwmsim.optimize import maximize_fidelity
+    _, cfg = ck_config
+    cfg = json.loads(json.dumps(cfg))
+    cfg["sweep"] = {"variable": "emx", "start": 3.9, "stop": 4.1, "points": 2}
+    cfg["optimize"] = {"budget": 15, "gate_time_ns": [70.0, 110.0]}
+    cfg["seed"] = 4
+    p = tmp_path / "emx.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path)]) == 0
+    _, rows = _read_csv(tmp_path / "fidelity_sweep.csv")
+    assert [row[0] for row in rows] == [3.9, 4.1]
+    for e_mx, row in zip((3.9, 4.1), rows):
+        r = maximize_fidelity(e_mx, budget=15, seed=4, gate_time_bounds=(70.0, 110.0))
+        assert row == [float("%.12g" % x) for x in
+                       (r.e_mx, r.fidelity, r.best_gate_time, *r.best_params)]
 
 
 def test_optimize_command(ck_config, tmp_path):
@@ -485,8 +503,7 @@ def test_config_circuit_centres_the_search(ck_config, tmp_path, command):
     preset_e_j1 = cfg["circuit"]["e_j1"]
     cfg["circuit"]["e_j1"] = 1.05 * preset_e_j1
     cfg["optimize"] = {"budget": 12, "bounds_pct": 0.01}
-    cfg["sweep"] = {"variable": "emx", "start": 4.0, "stop": 4.0, "points": 1,
-                    "budget": 12}
+    cfg["sweep"] = {"variable": "emx", "start": 4.0, "stop": 4.0, "points": 1}
     cfg["seed"] = 2
     p = tmp_path / "shifted.json"
     p.write_text(json.dumps(cfg))
@@ -567,18 +584,69 @@ def test_seed_override_and_delta_f_reach_derive_json(tmp_path):
     ("run", "simulation", {"duration_ns": -1}, "simulation.duration_ns"),
     ("run", "simulation", {"frame": "lab", "duration_ns": -1}, "simulation.duration_ns"),
     ("optimize", "optimize", {"e_mx": -1, "budget": 2}, "optimize.e_mx"),
-    ("sweep", "sweep", {"variable": "emx", "start": -1, "stop": 1, "points": 2,
-                        "budget": 2}, "sweep.start"),
+    ("sweep", "sweep", {"variable": "emx", "start": -1, "stop": 1, "points": 2},
+     "sweep.start"),
     ("derive", "circuit", dict(CAPACITANCE_CIRCUIT, g1=77.0), "circuit.g1"),
+    # the search is the optimize section's; the sweep section holds only its axis
+    ("sweep", "sweep", {"variable": "emx", "start": 4, "stop": 4, "points": 1, "budget": 2},
+     "sweep.budget"),
+    ("sweep", "sweep", {"variable": "b0", "start": -1, "stop": 1, "points": 3,
+                        "gate_time_ns": [60, 120]}, "sweep.gate_time_ns"),
+    ("run", "simulation", {"duration_ns": 1.0, "points": 1}, "simulation.points"),
+    ("derive", "delta_f", 0.05, "delta_f"),  # ck has no term oscillating at Delta_F
 ], ids=["negative-duration", "negative-lab-duration", "negative-optimize-e_mx",
-        "negative-emx-sweep-start", "capacitance-form-g1"])
+        "negative-emx-sweep-start", "capacitance-form-g1", "sweep-budget",
+        "sweep-gate-time", "simulation-points-1", "ck-delta_f"])
 def test_out_of_range_inputs_exit_2_without_traceback(tmp_path, command, section, value,
                                                        field):
     cfg = dict(as_config(cross_kerr_point()), **{section: value})
     proc = _run_cli_subprocess(tmp_path, command, cfg)
     assert proc.returncode == 2
-    assert field in proc.stderr
+    assert f"config error: {field}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_zero_delta_f_on_cross_kerr_accepted(tmp_path):
+    cfg = dict(as_config(cross_kerr_point()), delta_f=0)
+    p = tmp_path / "df0.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["derive", "--config", str(p), "--out", str(tmp_path)]) == 0
+    assert json.load(open(tmp_path / "derive.json"))["detunings_ghz"]["delta_f"] == 0.0
+
+
+@pytest.mark.parametrize("c_m,warned", [(2e-17, False), (2e-16, True)],
+                         ids=["in-regime", "hierarchy-violated"])
+def test_capacitance_hierarchy_warning_on_stderr(tmp_path, c_m, warned):
+    circuit = dict(CAPACITANCE_CIRCUIT,
+                   capacitances=dict(CAPACITANCE_CIRCUIT["capacitances"], c_m=c_m))
+    proc = _run_cli_subprocess(tmp_path, "derive",
+                               dict(as_config(cross_kerr_point()), circuit=circuit))
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert len(lines) == int(warned)
+    assert all(line.startswith("warning: circuit.capacitances: capacitance hierarchy "
+                               "violated") for line in lines)
+    assert (tmp_path / "derive.json").exists()
+
+
+def _strict_json(path):
+    def reject(name):
+        raise ValueError(f"{path.name}: non-standard JSON constant {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_infinite_gate_time_written_as_null(tmp_path):
+    # without drive 1 the beam splitter has chi = 0, so its gate time is infinite
+    cfg = as_config(beam_splitter_point())
+    cfg["drives"][0]["rabi"] = 0.0
+    cfg["simulation"] = {"duration_ns": 0.5, "points": 3}
+    p = tmp_path / "chi0.json"
+    p.write_text(json.dumps(cfg))
+    for command in ("derive", "run"):
+        assert main([command, "--config", str(p), "--out", str(tmp_path)]) == 0
+    assert _strict_json(tmp_path / "derive.json")["effective"]["gate_time_ns"] is None
+    summary = _strict_json(tmp_path / "summary.json")
+    assert summary["gate_time_ns"] is None and summary["duration_ns"] == 0.5
 
 
 @pytest.mark.parametrize("frame", ["interaction", "lab"])
@@ -593,3 +661,31 @@ def test_infinite_default_duration_exits_2(tmp_path, frame):
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "trajectory.csv").exists()
 
+
+
+def test_readme_key_table_lists_every_config_field():
+    from fwmsim import config
+    readme = os.path.join(os.path.dirname(CONFIG_DIR), "README.md")
+    with open(readme) as fh:
+        text = fh.read().split("Every key, as declared by the field tables", 1)[1]
+    documented = set()
+    for line in text.split("|---|", 1)[1].splitlines()[1:]:
+        if not line.startswith("|"):
+            break
+        first, *rest = [name.strip(" `") for name in line.split("|")[1].split(",")]
+        parent = first.rpartition(".")[0]
+        documented |= {first, *(f"{parent}.{name}" if parent else name for name in rest)}
+    # each section table by its path; "drives[i]" is one entry of the drive list
+    sections = {"": config._TOP, "circuit": config._CAPACITANCE_CIRCUIT,
+                "circuit.capacitances": config._CAPACITANCES, "drives[i]": config._DRIVE,
+                "detunings": config._DETUNINGS, "cutoffs": config._CUTOFFS,
+                "simulation": config._SIMULATION, "sweep": config._SWEEP,
+                "optimize": config._OPTIMIZE, "outputs": config._OUTPUTS}
+    keys = {f"{path}.{key}" if path else key for path, table in sections.items()
+            for key in table}
+    leaves = {k for k in keys if k not in sections and f"{k}[i]" not in sections}
+    documented_leaves = {k for k in documented
+                         if not any(other.startswith((f"{k}.", f"{k}["))
+                                    for other in documented)}
+    assert documented <= keys, documented - keys
+    assert documented_leaves == leaves

@@ -122,8 +122,7 @@ def test_resolved_sample_counts_within_max_points(doc, field, value):
 # window lets the optimizer's cutoff-1 candidates reach its scan
 TINY = {"cutoffs": {"n_max1": 1, "n_max2": 1},
         "simulation": {"duration_ns": 0.002, "points": 11},
-        "sweep": {"start": 3.6, "stop": 4.4, "points": 3, "budget": 3,
-                  "gate_time_ns": [1.0, 1000.0]},
+        "sweep": {"start": 3.6, "stop": 4.4, "points": 3},
         "optimize": {"e_mx": 4.0, "budget": 3, "bounds_pct": 0.1,
                      "gate_time_ns": [1.0, 1000.0], "time_points": 11},
         "seed": 1}
@@ -134,7 +133,7 @@ TINY_DOCS = {f"{name}-{frame}-{variable}": {
     for variable in ("b0", "emx")}
 SIZE_CAPS = {("cutoffs", "n_max1"): (1, MAX_CUTOFF), ("cutoffs", "n_max2"): (1, MAX_CUTOFF),
              ("simulation", "points"): (11, MAX_POINTS), ("sweep", "points"): (11, MAX_POINTS),
-             ("sweep", "budget"): (3, math.inf), ("optimize", "budget"): (3, math.inf),
+             ("optimize", "budget"): (3, math.inf),
              ("optimize", "time_points"): (11, MAX_POINTS)}
 LAB_DURATION_NS = 0.002
 

@@ -179,16 +179,19 @@ JOB_SHA256 = {
         "trajectory.csv": "f44e51217eff8b915f53c6aa6376902fa788586893d091a9873abfeca4662cdb"}),
     "optimize-ck": ("cross_kerr.json", "optimize", (), {"optimize": {"budget": 40}}, {
         "optimize.json": "4f36af871cac4406e4068754dc8d617277c3d394784a55e255d7dd70c1f3d56d"}),
+    # the sweep files' header hashes moved when the sweep section lost its
+    # budget and gate_time_ns (an emx sweep runs the optimize section's
+    # search); every line below the header is byte for byte unchanged
     "sweep-b0-ck": ("cross_kerr.json", "sweep", (),
                     {"sweep": {"variable": "b0", "start": -1.5, "stop": 1.5,
                                "points": 51}},
                     {"energy_sweep.csv":
-                     "452627d0c271cc0d9f4791becd47e17b8b205ed372887fdb074a1316d96a20a6"}),
+                     "e29bd83dcee299a682acc81dc64acf2c65e55c0e83a44e10868618122e078075"}),
     "sweep-emx-ck": ("cross_kerr.json", "sweep", (),
                      {"sweep": {"variable": "emx", "start": 3.8, "stop": 4.2,
-                                "points": 2, "budget": 15}},
+                                "points": 2}, "optimize": {"budget": 15}},
                      {"fidelity_sweep.csv":
-                      "35bead7974b1ea9af285cf59fef70224764220ba651760591bc6feb928f667b4"}),
+                      "d53e353f7fd6dee43fd353d6c2e717c1cc3d767b76ea5f2e37241643b7000390"}),
     # drive and detuning inputs that disagree with the circuit: derive.json
     # pins the resolved detunings, drive frequencies and every note. A None
     # section drops that key from the config

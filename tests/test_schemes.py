@@ -78,6 +78,20 @@ def test_drive_count_validation():
                            (bs["drives"][0], bs["drives"][0]), CUT)
 
 
+def test_delta_f_only_where_a_term_oscillates_at_it():
+    pt = cross_kerr_point()
+    for value in (0.05, -1e-9, float("nan")):
+        with pytest.raises(SchemeError, match="^delta_f: scheme ck"):
+            build_scheme_frame(pt["params"], Scheme.CROSS_KERR, (), CUT, delta_f=value)
+    for value in (None, 0.0, -0.0):
+        _, det = build_scheme_frame(pt["params"], Scheme.CROSS_KERR, (), CUT, delta_f=value)
+        assert det.delta_f == 0.0
+    bs = beam_splitter_point()
+    _, det = build_scheme_frame(bs["params"], Scheme.BEAM_SPLITTER, bs["drives"], CUT,
+                                delta_f=0.05)
+    assert det.delta_f == 0.05
+
+
 def test_drive_without_detuning_or_frequency_rejected():
     bs = beam_splitter_point()
     with pytest.raises(SchemeError, match="detuning"):
