@@ -20,8 +20,7 @@ import numpy as np
 from . import __version__
 from .circuit import energy_sweep
 from .config import MAX_ABS, ResolvedConfig, load_config, resolve
-from .dynamics import (block_overlaps, dressed_energy_oracle, gate_fidelity, propagate,
-                       propagate_frame, time_blocks)
+from .dynamics import dressed_energy_oracle, gate_fidelity, propagate, propagate_frame
 from .effective import controlled_phase_targets, effective_params
 from .errors import ConfigError, FwmsimError, IntegrationError, NumericError, SchemeError
 from .io import format_frequency, write_csv, write_json
@@ -134,26 +133,18 @@ def cmd_run(cfg: ResolvedConfig, args) -> int:
 
     if cfg.simulation["frame"] == "interaction":
         traj = propagate_frame(frame, psi0, duration, times=times, references=refs)
-        overlaps = traj.overlaps
-        final = traj.final_state
     else:
         ham = build_full_hamiltonian(cfg.params, lab_drives(frame), cfg.cutoffs)
         if not ham.max_frequency <= MAX_ABS:  # it sets the Magnus step
             raise IntegrationError(f"lab frequency scale {ham.max_frequency:.4g} GHz is "
                                    f"beyond {MAX_ABS:g} GHz")
-        traj = propagate(ham, psi0, duration, times=times, store_states=True)
-        phase = 2j * np.pi * frame_h0_diagonal(frame)
-        overlaps = {label: np.empty(times.size, dtype=complex) for label in refs}
-        for rows in time_blocks(times.size):
-            psi = np.exp(np.outer(times[rows], phase)) * traj.states[rows]
-            for label, ref in refs.items():
-                overlaps[label][rows] = block_overlaps(psi, ref)
-        final = psi[-1]
+        traj = propagate(ham, psi0, duration, times=times, references=refs,
+                         h0_diag=frame_h0_diagonal(frame))
 
     header, columns = ["t_ns"], [times]
     for label in refs:
         header += [f"re_overlap_{label}", f"im_overlap_{label}"]
-        columns += [overlaps[label].real, overlaps[label].imag]
+        columns += [traj.overlaps[label].real, traj.overlaps[label].imag]
     header.append("norm")
     rows = np.column_stack(columns + [traj.norms])
     out_dir = cfg.outputs["dir"]
@@ -164,7 +155,7 @@ def cmd_run(cfg: ResolvedConfig, args) -> int:
                "duration_ns": float(duration), "norm_drift": traj.norm_drift,
                "chi_ghz": ep.chi}
     if "target" in refs:
-        fid = gate_fidelity(final, refs["target"], cutoffs=frame.cutoffs,
+        fid = gate_fidelity(traj.final_state, refs["target"], cutoffs=frame.cutoffs,
                             ground_level=frame.ground_level)
         summary["fidelity"] = fid.fidelity
         summary["leakage"] = fid.leakage
@@ -184,6 +175,7 @@ def _search(cfg: ResolvedConfig, e_mx: float):
 
 
 def cmd_sweep(cfg: ResolvedConfig, args) -> int:
+    _frame(cfg)  # the config's scheme frame must hold, as in derive and run
     if cfg.sweep is None:
         raise ConfigError("sweep", "missing sweep section for the sweep command")
     out_dir = cfg.outputs["dir"]
@@ -208,6 +200,7 @@ def cmd_sweep(cfg: ResolvedConfig, args) -> int:
 
 
 def cmd_optimize(cfg: ResolvedConfig, args) -> int:
+    _frame(cfg)  # the config's scheme frame must hold, as in derive and run
     result = _search(cfg, cfg.optimize["e_mx"])
     print(f"e_mx = {result.e_mx} GHz: fidelity {result.fidelity:.6f} at "
           f"gate time {result.best_gate_time:.3f} ns "

@@ -5,19 +5,24 @@ against exact diagonalization.
 Propagation solves d psi / dt = -i 2 pi H(t) psi with H in GHz and t in ns.
 Static Hamiltonians are propagated exactly through their eigendecomposition,
 restricted to the states their nonzero pattern links to the initial state
-(the symmetry sectors it populates): one ``eigh`` over those, exact zeros
-elsewhere, and the full solve unchanged when every sector is populated.
+(the symmetry sectors it populates): the Hamiltonian, the state, the
+references and the frame phase are cut to those once, one ``eigh`` solves
+them, and only the final and stored states are put back to full width with
+exact zeros elsewhere; when every sector is populated the solve is the full one.
 Time-dependent ones use a fourth-order Magnus integrator (two Gauss nodes
 plus the commutator term). Each Magnus step exp(Omega) = exp(-i G), with the
 hermitian generator G = i Omega, is applied to the state as a Taylor series
 summed to roundoff over ceil(||G||_1) pieces, from matrix-vector products
 alone (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488), so every step
 is unitary to roundoff. Scheme frames additionally factorize exactly through
-their static co-rotating frame. States are propagated and traced in blocks
-of at most _STATE_BLOCK sample times, one state per row, by stacked
-matrix-vector and vector-vector products: each row gets the arithmetic of
-``u @ v``, ``np.linalg.norm`` and ``np.vdot`` on that one state, so the
-results do not depend on the block size. Sample times must be finite, and
+their static co-rotating frame. Every trajectory is traced in one place:
+states come in blocks of at most _STATE_BLOCK sample times, one state per
+row; each block's norms are taken, then a diagonal frame phase
+exp(+2 pi i h0 t) is applied if one is given, then the overlaps are taken,
+by stacked matrix-vector and vector-vector products. Each row gets the
+arithmetic of ``u @ v``, ``np.linalg.norm`` and ``np.vdot`` on that one
+state, so the results do not depend on the block size, and memory stays at
+one block unless every state is asked for. Sample times must be finite, and
 every state's norm must stay within NORM_TOL (a NaN state fails too). The
 oracle's dressed states are rotated onto their bare labels directly, one
 ``eigh`` per sector, at a subspace fidelity of at least 0.5.
@@ -81,40 +86,34 @@ def _sample_times(t_end: float, times, n_points: int) -> np.ndarray:
     return times
 
 
-def time_blocks(n_times: int) -> list[slice]:
-    """Consecutive slices of at most _STATE_BLOCK sample indices over range(n_times)."""
-    return [slice(k, min(k + _STATE_BLOCK, n_times))
-            for k in range(0, n_times, _STATE_BLOCK)]
-
-
-def block_overlaps(block: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """<ref|psi> for every state row psi of ``block``: one stacked vector
-    product per row, summed as ``np.vdot(ref, psi)`` sums (a GEMM would not)."""
-    return (block[:, None, :] @ ref.conj()[:, None])[:, 0, 0]
-
-
-def _trajectory(times, dim, blocks, references, store_states):
+def _trajectory(times, blocks, references, h0_diag, store_states):
     """Norms and overlap traces of the states in ``blocks``: arrays of
-    consecutive states, one per row, in the order of ``times``. With
-    ``store_states`` every state is kept in one (times x dim) array.
+    consecutive states, one per row, in the order of ``times``.
 
     Each norm is sqrt(re.re + im.im) on the strided real and imaginary
     views, as ``np.linalg.norm`` takes it, as one stacked product per row.
+    Then a diagonal ``h0_diag`` rotates each state by exp(+2 pi i h0 t), and
+    the overlaps, the final state and, with ``store_states``, the kept
+    states are of the rotated states. Each overlap is one stacked vector
+    product per row, summed as ``np.vdot(ref, psi)`` sums (a GEMM would not).
     """
-    refs = references or {}
+    refs = {label: ref.conj()[:, None] for label, ref in (references or {}).items()}
+    phase = None if h0_diag is None else 2j * np.pi * h0_diag
     overlaps = {label: np.empty(len(times), dtype=complex) for label in refs}
     norms = np.empty(len(times))
-    states = np.empty((len(times), dim), dtype=complex) if store_states else None
+    kept = []
     stop = 0
     for block in blocks:
         rows = slice(stop, stop + len(block))
         re, im = block.real[:, None, :], block.imag[:, None, :]
         norms[rows] = np.sqrt((re @ re.transpose(0, 2, 1)
                                + im @ im.transpose(0, 2, 1))[:, 0, 0])
+        if phase is not None:
+            block = np.exp(np.outer(times[rows], phase)) * block
         for label, ref in refs.items():
-            overlaps[label][rows] = block_overlaps(block, ref)
-        if states is not None:
-            states[rows] = block
+            overlaps[label][rows] = (block[:, None, :] @ ref)[:, 0, 0]
+        if store_states:
+            kept.append(block)
         stop = rows.stop
     drift = float(np.max(np.abs(norms - 1.0)))
     if not drift <= NORM_TOL:  # also a NaN state
@@ -122,7 +121,8 @@ def _trajectory(times, dim, blocks, references, store_states):
             f"norm drift {drift:.3e} exceeds {NORM_TOL:g}; "
             f"worst point t = {times[int(np.argmax(np.abs(norms - 1.0)))]:.6g} ns")
     return Trajectory(times=np.asarray(times, dtype=float), overlaps=overlaps,
-                      norms=norms, final_state=block[-1].copy(), states=states)
+                      norms=norms, final_state=block[-1].copy(),
+                      states=np.concatenate(kept) if store_states else None)
 
 
 def reachable(h: np.ndarray, psi0: np.ndarray) -> np.ndarray:
@@ -138,32 +138,38 @@ def reachable(h: np.ndarray, psi0: np.ndarray) -> np.ndarray:
         mask = grown
 
 
-def evolve_static(h: np.ndarray, psi0: np.ndarray, times: np.ndarray,
-                  g_diag: np.ndarray | None = None):
+def evolve_static(h: np.ndarray, psi0: np.ndarray, times: np.ndarray):
     """Exact eigendecomposition propagator for a static Hamiltonian.
 
-    One ``eigh`` over the states ``reachable(h, psi0)`` propagates them and
-    every other amplitude is exactly 0; when every state is reachable, ``h``
-    and ``psi0`` enter unchanged. Yields the states at ``times`` in blocks of
-    at most _STATE_BLOCK full-width rows, one state per row, each row the
-    product ``u @ (exp(-2 pi i w t) * c0)``, then times exp(-2 pi i g t) on
-    the reachable states for a diagonal ``g_diag``.
+    Yields the states at ``times`` in blocks of at most _STATE_BLOCK rows,
+    one state per row, each row the product ``u @ (exp(-2 pi i w t) * c0)``
+    of one ``eigh`` of ``h``.
     """
-    idx = reachable(h, psi0)
-    part = idx.size < psi0.size
-    w, u = np.linalg.eigh(h[np.ix_(idx, idx)] if part else h)
-    c0 = u.conj().T @ (psi0[idx] if part else psi0)
+    w, u = np.linalg.eigh(h)
+    c0 = u.conj().T @ psi0
     phase = -2j * np.pi * w
-    frame_phase = None if g_diag is None else -2j * np.pi * g_diag[idx]
-    for rows in time_blocks(times.size):
-        block = (u @ (np.exp(np.outer(times[rows], phase)) * c0)[:, :, None])[:, :, 0]
-        if frame_phase is not None:
-            block = np.exp(np.outer(times[rows], frame_phase)) * block
-        if part:
-            full = np.zeros((len(block), psi0.size), dtype=complex)
-            full[:, idx] = block
-            block = full
-        yield block
+    for k in range(0, times.size, _STATE_BLOCK):
+        t = times[k:k + _STATE_BLOCK]
+        yield (u @ (np.exp(np.outer(t, phase)) * c0)[:, :, None])[:, :, 0]
+
+
+def _static_trajectory(h, psi0, times, references, h0_diag, store_states):
+    """The trajectory of a static ``h`` solved on the states
+    ``reachable(h, psi0)`` only: ``h``, ``psi0``, the references and
+    ``h0_diag`` are cut to them once, and the final and kept states are put
+    back to full width, exactly 0 elsewhere."""
+    idx = reachable(h, psi0)
+    refs = {label: ref[idx] for label, ref in (references or {}).items()}
+    traj = _trajectory(times, evolve_static(h[np.ix_(idx, idx)], psi0[idx], times), refs,
+                       None if h0_diag is None else h0_diag[idx], store_states)
+
+    def widen(part):
+        full = np.zeros(part.shape[:-1] + psi0.shape, dtype=complex)
+        full[..., idx] = part
+        return full
+
+    return replace(traj, final_state=widen(traj.final_state),
+                   states=None if traj.states is None else widen(traj.states))
 
 
 def _expm_action(gen: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -229,23 +235,26 @@ def _magnus_states(ham: Hamiltonian, psi0: np.ndarray, times: np.ndarray,
 
 def propagate(ham: Hamiltonian, psi0: np.ndarray, t_end: float, *,
               times: np.ndarray | None = None, n_points: int = DEFAULT_POINTS,
-              references: dict | None = None, store_states: bool = False,
-              step: float | None = None, check_convergence: bool = False) -> Trajectory:
-    """Propagate a state and record overlap traces at the sample times.
+              references: dict | None = None, h0_diag: np.ndarray | None = None,
+              store_states: bool = False, step: float | None = None) -> Trajectory:
+    """Propagate a state and record its norms and overlap traces at the
+    sample times.
 
-    Static Hamiltonians are evolved exactly. Time-dependent ones use the
-    Magnus-4 stepper with step <= 1/(50 * fastest frequency); with
-    ``check_convergence`` the step is halved until the final-state overlaps
-    move by less than 1e-8, as the accuracy contract requires. A zero or
-    non-finite step, or more than MAX_SUBSTEPS steps, raise IntegrationError.
+    Static Hamiltonians are evolved exactly on the sectors ``psi0``
+    populates. Time-dependent ones use the Magnus-4 stepper with
+    step <= 1/(50 * fastest frequency), or ``step`` if smaller. With a
+    diagonal ``h0_diag`` the overlaps, the final state and the stored states
+    are of exp(+2 pi i h0 t) psi(t), the state in the frame that rotates
+    with h0; the norms are of psi(t). A zero or non-finite step, or more
+    than MAX_SUBSTEPS steps, raise IntegrationError.
     """
     if not np.abs(np.linalg.norm(psi0) - 1.0) <= 1e-9:  # also a NaN state
         raise ValueError("initial state must be normalized")
     times = _sample_times(t_end, times, n_points)
 
     if ham.is_static:
-        return _trajectory(times, psi0.size, evolve_static(ham.static, psi0, times),
-                           references, store_states)
+        return _static_trajectory(ham.static, psi0, times, references, h0_diag,
+                                  store_states)
 
     substep = 1.0 / (STEP_FREQ_FACTOR * max(ham.max_frequency, 1e-12))
     if step is not None:
@@ -253,23 +262,8 @@ def propagate(ham: Hamiltonian, psi0: np.ndarray, t_end: float, *,
     if not 0.0 < substep < math.inf or float(times[-1] - times[0]) / substep > MAX_SUBSTEPS:
         raise IntegrationError(f"frequency scale {ham.max_frequency:.4g} GHz needs a zero "
                                f"Magnus step or more than {MAX_SUBSTEPS:.4g} of them")
-    traj = _trajectory(times, psi0.size, _magnus_states(ham, psi0, times, substep),
-                       references, store_states)
-    if not check_convergence:
-        return traj
-    for _ in range(3):
-        finer = _trajectory(times, psi0.size,
-                            _magnus_states(ham, psi0, times, substep / 2.0),
-                            references, store_states)
-        moved = abs(1.0 - abs(np.vdot(finer.final_state, traj.final_state)))
-        for label in traj.overlaps:
-            moved = max(moved, float(np.max(np.abs(
-                finer.overlaps[label] - traj.overlaps[label]))))
-        if moved < 1e-8:
-            return finer
-        substep /= 2.0
-        traj = finer
-    raise IntegrationError("step halving did not converge to 1e-8 in overlaps")
+    return _trajectory(times, _magnus_states(ham, psi0, times, substep), references,
+                       h0_diag, store_states)
 
 
 def propagate_frame(frame: SchemeFrame, psi0: np.ndarray, t_end: float, *,
@@ -279,13 +273,14 @@ def propagate_frame(frame: SchemeFrame, psi0: np.ndarray, t_end: float, *,
 
     psi(t) = e^{-i 2 pi G t} e^{-i 2 pi H' t} psi(0) with diagonal G; this is
     exact for every scheme frame (their time dependence is a single
-    oscillating term), so no step-size control is involved. Both factors act
-    on the states H' links to psi(0) only; the others stay exactly 0.
+    oscillating term), so no step-size control is involved. The static
+    factor is traced as ``propagate`` traces a static Hamiltonian, with
+    ``h0_diag = -G``: on the states H' links to psi(0) only (the others stay
+    exactly 0), each norm of e^{-i 2 pi H' t} psi(0).
     """
     times = _sample_times(t_end, times, n_points)
     h_static, g_diag = static_frame(frame)
-    return _trajectory(times, psi0.size, evolve_static(h_static, psi0, times, g_diag),
-                       references, store_states)
+    return _static_trajectory(h_static, psi0, times, references, -g_diag, store_states)
 
 
 def computational_indices(cutoffs: FockCutoffs, ground_level: str) -> np.ndarray:

@@ -594,9 +594,12 @@ def test_seed_override_and_delta_f_reach_derive_json(tmp_path):
                         "gate_time_ns": [60, 120]}, "sweep.gate_time_ns"),
     ("run", "simulation", {"duration_ns": 1.0, "points": 1}, "simulation.points"),
     ("derive", "delta_f", 0.05, "delta_f"),  # ck has no term oscillating at Delta_F
+    ("optimize", "delta_f", 0.05, "delta_f"),  # every command builds the frame
+    ("sweep", "delta_f", 0.05, "delta_f"),
 ], ids=["negative-duration", "negative-lab-duration", "negative-optimize-e_mx",
         "negative-emx-sweep-start", "capacitance-form-g1", "sweep-budget",
-        "sweep-gate-time", "simulation-points-1", "ck-delta_f"])
+        "sweep-gate-time", "simulation-points-1", "ck-delta_f", "ck-delta_f-optimize",
+        "ck-delta_f-sweep"])
 def test_out_of_range_inputs_exit_2_without_traceback(tmp_path, command, section, value,
                                                        field):
     cfg = dict(as_config(cross_kerr_point()), **{section: value})

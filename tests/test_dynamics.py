@@ -1,7 +1,10 @@
 """Propagators (exact and Magnus), overlap traces, gate fidelity, the
 all-order effective Hamiltonian, and the dressed-energy oracle."""
 
+import contextlib
 import dataclasses
+import io
+import json
 import math
 import os
 import subprocess
@@ -19,14 +22,15 @@ from scipy.sparse.csgraph import connected_components
 
 import fwmsim
 from fwmsim import dynamics, schemes
-from fwmsim.cli import _reference_states
+from fwmsim.cli import _reference_states, main
 from fwmsim.dynamics import (STEP_FREQ_FACTOR, dressed_energy_oracle, effective_hamiltonian,
                              gate_fidelity, propagate, propagate_frame)
 from fwmsim.effective import effective_params
 from fwmsim.errors import IntegrationError, TrackingError
 from fwmsim.hamiltonian import Hamiltonian
 from fwmsim.operators import FockCutoffs, basis_state, product_state
-from fwmsim.presets import cross_kerr_point, operating_point, two_mode_squeeze_point
+from fwmsim.presets import (as_config, cross_kerr_point, operating_point,
+                            two_mode_squeeze_point)
 from fwmsim.schemes import Scheme, build_full_hamiltonian, build_scheme_frame, lab_drives
 
 CUT = FockCutoffs(2, 2)
@@ -76,13 +80,20 @@ def test_magnus_matches_exact_frame_propagation():
 
 
 def test_magnus_step_halving_convergence():
+    # the accuracy contract: halving the default Magnus step moves the final
+    # state and the overlaps by less than 1e-8
     pt = operating_point(Scheme.TWO_MODE_SQUEEZE)
     frame, _ = build_scheme_frame(pt["params"], pt["scheme"], pt["drives"],
                                   FockCutoffs(1, 1))
+    ham = frame.hamiltonian()
     psi0 = basis_state(frame.cutoffs, "b", 0, 0)
-    traj = propagate(frame.hamiltonian(), psi0, 2.0, n_points=5,
-                     references={"init": psi0}, check_convergence=True)
+    refs = {"init": psi0}
+    traj = propagate(ham, psi0, 2.0, n_points=5, references=refs)
+    finer = propagate(ham, psi0, 2.0, n_points=5, references=refs,
+                      step=0.5 / (STEP_FREQ_FACTOR * ham.max_frequency))
     assert traj.norm_drift < 1e-9
+    assert np.linalg.norm(finer.final_state - traj.final_state) < 1e-8
+    assert np.max(np.abs(finer.overlaps["init"] - traj.overlaps["init"])) < 1e-8
 
 
 def test_propagate_rejects_unnormalized_state():
@@ -251,8 +262,9 @@ def test_trajectory_bytes_equal_per_time_loop(dim, n):
     states = np.array([_random_state(rng, dim) for _ in range(n)])
     refs = {f"r{k}": rng.randn(dim) + 1j * rng.randn(dim) for k in range(3)}
     times = _sorted_times(rng, n)
-    blocks = (states[rows] for rows in dynamics.time_blocks(n))
-    traj = dynamics._trajectory(times, dim, blocks, refs, True)
+    size = dynamics._STATE_BLOCK
+    blocks = (states[k:k + size] for k in range(0, n, size))
+    traj = dynamics._trajectory(times, blocks, refs, None, True)
     norms, overlaps = _loop_traces(states, refs)
     assert traj.norms.tobytes() == norms.tobytes()
     for label in refs:
@@ -275,9 +287,10 @@ def test_propagate_frame_bytes_equal_per_time_loop(dim, n):
     traj = propagate_frame(frame, psi0, times[-1], times=times, references=refs,
                            store_states=True)
     h_static, g_diag = schemes.static_frame(frame)
-    states = np.array([np.exp(-2j * np.pi * g_diag * t) * inner
-                       for t, inner in zip(times, _loop_states(h_static, psi0, times))])
-    norms, overlaps = _loop_traces(states, refs)
+    inner = _loop_states(h_static, psi0, times)
+    states = np.array([np.exp(-2j * np.pi * g_diag * t) * psi for t, psi in zip(times, inner)])
+    norms, _ = _loop_traces(inner, {})      # each norm of the unrotated state
+    _, overlaps = _loop_traces(states, refs)
     assert traj.states.shape == (n, dim)
     assert traj.states.tobytes() == states.tobytes()
     assert traj.norms.tobytes() == norms.tobytes()
@@ -300,6 +313,64 @@ def test_propagate_frame_memory_stays_blocked():
         tracemalloc.stop()
     assert traj.states is None and traj.norms.size == n
     assert peak < 8e6
+
+
+def test_lab_run_memory_stays_blocked(tmp_path):
+    # a static lab run traced in blocks: every state as one matrix would be
+    # 20001 x 100 complex = 32 MB
+    cfg = as_config(cross_kerr_point())
+    cfg["simulation"] = {"frame": "lab", "points": 20001}
+    path = tmp_path / "ck_lab.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out"), "--cutoff", "4"]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8e6
+
+
+def _h0_case(kind):
+    """(Hamiltonian, psi0, h0 diagonal, references, times): a driven lab-style
+    Hamiltonian, or a static one whose psi0 populates only some sectors."""
+    point = operating_point(Scheme.BEAM_SPLITTER)
+    frame, _ = build_scheme_frame(point["params"], Scheme.BEAM_SPLITTER, point["drives"],
+                                  FockCutoffs(3, 3), detunings=point["detunings"])
+    h0 = schemes.frame_h0_diagonal(frame)
+    psi0, refs = _reference_states(frame, effective_params(frame))
+    if kind == "driven":
+        return frame.hamiltonian(), psi0, h0, refs, np.linspace(0.0, 0.2, 9)
+    h_static, _ = schemes.static_frame(frame)
+    return Hamiltonian(h_static), psi0, h0, refs, np.linspace(0.0, 40.0, 2001)
+
+
+@pytest.mark.parametrize("kind", ["driven", "static-sectors"])
+def test_propagate_h0_diag_bytes_equal_per_time_loop(kind):
+    ham, psi0, h0, refs, times = _h0_case(kind)
+    traj = propagate(ham, psi0, times[-1], times=times, references=refs, h0_diag=h0,
+                     store_states=True)
+    if kind == "driven":
+        idx = np.arange(psi0.size)
+        inner = propagate(ham, psi0, times[-1], times=times, store_states=True).states
+    else:
+        idx = dynamics.reachable(ham.static, psi0)
+        assert idx.size < psi0.size
+        inner = _loop_states(ham.static[np.ix_(idx, idx)], psi0[idx], times)
+    rotated = np.array([np.exp(2j * np.pi * h0[idx] * t) * psi
+                        for t, psi in zip(times, inner)])
+    norms, _ = _loop_traces(inner, {})      # each norm of the unrotated state
+    _, overlaps = _loop_traces(rotated, {label: ref[idx] for label, ref in refs.items()})
+    full = np.zeros((times.size, psi0.size), dtype=complex)
+    full[:, idx] = rotated
+    assert traj.norms.tobytes() == norms.tobytes()
+    for label in refs:
+        assert traj.overlaps[label].tobytes() == overlaps[label].tobytes()
+    assert traj.states.tobytes() == full.tobytes()
+    assert traj.final_state.tobytes() == full[-1].tobytes()
 
 
 # ---------------------------------------------------------------------------
