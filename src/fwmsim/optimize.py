@@ -13,6 +13,16 @@ the fourth-order formulas) for the target's single-photon phases is what
 makes the full-model fidelity meaningful: the lab Hamiltonian carries real
 second-order shifts that the closed forms do not, and they would otherwise
 be misread as gate error.
+
+Each candidate costs one real ``eigh`` per parity sector (the drive-free H
+is real and splits into the states reachable from |a;00> and the rest; at
+cutoffs 1-5 two equal halves, solved as one stacked ``eigh``) and one scan.
+The scan's phases exp(-2 pi i w t) come from a factorized table: each time
+is a block start plus an offset, about sqrt(time_points) of each, and every
+phase is reduced modulo one cycle without error before its cos and sin.
+Against a 40-digit evaluation of the same eigensystem the scanned
+fidelities are off by at most 6.5e-16; cos and sin of the unreduced
+phases, up to 5.6e4 rad, would be off by up to 2e-14.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import CircuitParams
-from .dynamics import computational_indices
+from .dynamics import computational_indices, reachable
 from .errors import OptimizationError, TrackingError
 from .operators import FockCutoffs, product_state
 from .presets import cross_kerr_point
@@ -34,7 +44,7 @@ TIME_WINDOW = 0.02                        # +-2% scan catches leakage revivals
 DEFAULT_TIME_POINTS = 801
 DEFAULT_BUDGET = 300                      # objective evaluations per search
 DEFAULT_BOUNDS_PCT = 0.1                  # search box half-width, relative to the base point
-_SCAN_BLOCK = 256                         # scan times per phase table (bounds memory)
+_SCAN_BLOCK = 1 << 14                     # scan times per contraction (bounds memory)
 
 
 @dataclass(frozen=True)
@@ -55,15 +65,86 @@ class OptimizationResult:
     history: tuple              # ((e_j1, e_j2, b0), fidelity, gate_time), successes only
 
 
-def _unit_phases(rates: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """exp(1j * outer(rates, ts)), filled from cos and sin of the real
-    phase, which avoids the complex exponential of a purely imaginary
-    argument."""
-    out = np.empty((rates.size, ts.size), dtype=complex)
-    theta = np.multiply.outer(rates, ts, out=out.imag)
+def _sector_eigh(h: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w, u) of the real symmetric ``h`` from one ``eigh`` per invariant
+    sector: the basis states :func:`reachable` from basis state ``seed`` and
+    the rest. Equal sectors share one stacked ``eigh``. Each column of u is
+    exactly 0 outside its sector."""
+    n = len(h)
+    inside = np.zeros(n, dtype=bool)
+    inside[reachable(h, np.arange(n) == seed)] = True
+    sectors = (np.flatnonzero(inside), np.flatnonzero(~inside))
+    blocks = [h[np.ix_(s, s)] for s in sectors]
+    if sectors[0].size == sectors[1].size:
+        solved = zip(*np.linalg.eigh(np.stack(blocks)))
+    else:
+        solved = [np.linalg.eigh(b) for b in blocks]
+    w, u = np.empty(n), np.zeros((n, n))
+    start = 0
+    for s, (ws, us) in zip(sectors, solved):
+        w[start:start + s.size] = ws
+        u[s, start:start + s.size] = us
+        start += s.size
+    return w, u
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split x = hi + lo, each half with at most 26 significant bits."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _cycle_phases(rates: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-2 pi i outer(rates, times)). Each product is reduced modulo one
+    cycle without error first: p + e = rate * time exactly (Dekker, Numer.
+    Math. 18 (1971) 224), p - rint(p) is exact, so only the reduced phase,
+    at most half a cycle, is rounded before the cos and sin."""
+    p = np.multiply.outer(rates, times)
+    (r_hi, r_lo), (t_hi, t_lo) = _split(rates), _split(times)
+    e = ((np.multiply.outer(r_hi, t_hi) - p) + np.multiply.outer(r_hi, t_lo)
+         + np.multiply.outer(r_lo, t_hi)) + np.multiply.outer(r_lo, t_lo)
+    theta = -2.0 * np.pi * ((p - np.rint(p)) + e)
+    out = np.empty(theta.shape, dtype=complex)
     np.cos(theta, out=out.real)
-    np.sin(theta, out=theta)
+    np.sin(theta, out=out.imag)
     return out
+
+
+def _scan(w: np.ndarray, rows: np.ndarray, cols: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Fidelities |<target(t)|psi(t)>|^2 at the times ``ts`` of one scan.
+
+    ``rows[r]`` is the computational row r of u, times c0 (psi = u (phases
+    * c0)), and ``w[cols[r]]`` its branch energy, so the overlap is
+    sum_r 0.5 sum_j rows[r, j] exp(-2 pi i (w_j - w[cols[r]]) t).
+    Each time is a block start s plus an offset o (the first block's offsets)
+    plus a gap eps of about an ulp, all exact differences of the ``ts``. The
+    phases are a (dim x blocks) table at s times a (dim x offsets) table at o,
+    and exp(2 pi i (w[cols[r]] - w_j) eps) is taken to first order: its error,
+    (2 pi |w[cols[r]] - w_j| eps)^2 / 2, is below 1e-22 on scans below 128 ns.
+    """
+    n = ts.size
+    m = math.isqrt(n - 1) + 1               # offsets per block, ceil(sqrt(n))
+    offsets = ts[:m] - ts[0]
+    b_phase = _cycle_phases(w, offsets)     # (dim, m)
+    lhs = np.stack([rows, rows * (w[cols][:, None] - w)])  # (2, 4, dim)
+    f = np.empty(n)
+    chunk = max(1, _SCAN_BLOCK // m) * m
+    for first in range(0, n, chunk):
+        part = ts[first:first + chunk]
+        grid = np.full(-(-part.size // m) * m, part[-1])  # the last block padded
+        grid[:part.size] = part
+        grid = grid.reshape(-1, m)
+        eps = (grid - grid[:, :1]) - offsets
+        a_phase = _cycle_phases(w, grid[:, 0]).T                 # (blocks, dim)
+        # exp(-2 pi i (w_j - w[cols[r]]) s), (4, blocks, dim)
+        a_rel = a_phase * np.conj(a_phase[:, cols]).T[:, :, None]
+        s = ((lhs[:, :, None, :] * a_rel).reshape(-1, w.size) @ b_phase).reshape(
+            2, 4, *grid.shape)
+        overlap = 0.5 * np.sum(np.conj(b_phase[cols])[:, None, :]
+                               * (s[0] + 2j * np.pi * eps * s[1]), axis=0)
+        f[first:first + part.size] = (np.abs(overlap) ** 2).ravel()[:part.size]
+    return f
 
 
 def controlled_phase_fidelity(params: CircuitParams, cutoffs: FockCutoffs, *,
@@ -78,9 +159,9 @@ def controlled_phase_fidelity(params: CircuitParams, cutoffs: FockCutoffs, *,
     """
     if time_points < 1:
         raise ValueError("time_points must be at least 1")
-    ham = build_full_hamiltonian(params, (), cutoffs)
-    w, u = np.linalg.eigh(ham.static)
     comp = computational_indices(cutoffs, "a")  # (0,0), (0,1), (1,0), (1,1)
+    # the drive-free H is real
+    w, u = _sector_eigh(build_full_hamiltonian(params, (), cutoffs).static.real, comp[0])
     weights = np.abs(u[comp]) ** 2
     cols = np.argmax(weights, axis=1)
     found = weights[range(4), cols] >= 0.5  # False for a NaN weight too
@@ -96,20 +177,14 @@ def controlled_phase_fidelity(params: CircuitParams, cutoffs: FockCutoffs, *,
     if not (gate_time_bounds[0] <= t_gate <= gate_time_bounds[1]):
         return None
 
-    psi0 = product_state(cutoffs, "a", [1, 1], [1, 1])
-    c0 = u.conj().T @ psi0
-    # the target lives on the computational rows only, so the overlaps at
-    # a block of scan times are one (4 x dim) @ (dim x times) product
-    rows = u[comp, :] * c0
+    c0 = u.T @ product_state(cutoffs, "a", [1, 1], [1, 1]).real
     ts = np.linspace((1.0 - TIME_WINDOW) * t_gate,
                      (1.0 + TIME_WINDOW) * t_gate, time_points)
-    f = np.concatenate([
-        np.abs(np.sum(0.5 * _unit_phases(2.0 * np.pi * energies, block)
-                      * (rows @ _unit_phases(-2.0 * np.pi * w, block)), axis=0)) ** 2
-        for block in np.split(ts, range(_SCAN_BLOCK, time_points, _SCAN_BLOCK))])
+    # the target lives on the computational rows only
+    f = _scan(w, u[comp] * c0, cols, ts)
     best = int(np.argmax(f))  # first maximum, like a strict '>' scan
     best_f, best_t = float(f[best]), float(ts[best])
-    psi = u @ (np.exp(-2j * np.pi * w * best_t) * c0)
+    psi = u @ (_cycle_phases(w, ts[best:best + 1])[:, 0] * c0)
     leak = float(1.0 - np.sum(np.abs(psi[comp]) ** 2))
     return GateEvaluation(fidelity=best_f, gate_time=best_t, chi_lab=float(chi_lab),
                           leakage=max(leak, 0.0))

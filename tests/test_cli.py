@@ -692,3 +692,30 @@ def test_readme_key_table_lists_every_config_field():
                                     for other in documented)}
     assert documented <= keys, documented - keys
     assert documented_leaves == leaves
+
+
+def test_main_twice_in_one_process_matches_separate_processes(ck_config, tmp_path,
+                                                              monkeypatch, capsys):
+    # one parser serves every main() call of a process: a flag of one call
+    # (derive --oracle) and a rejected job leave the next call unchanged
+    jobs = [["derive", "--oracle"], ["sweep"], ["derive"], ["run", "--cutoff", "2"]]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fwmsim.__file__)))
+    results = {}
+    for where in ("together", "apart"):
+        (tmp_path / where).mkdir()
+        (tmp_path / where / "cfg.json").write_text(json.dumps(ck_config[1]))
+        monkeypatch.chdir(tmp_path / where)
+        for k, job in enumerate(jobs):
+            argv = [*job, "--config", "cfg.json", "--out", f"out{k}"]
+            if where == "together":
+                code = main(argv)
+                out, err = capsys.readouterr()
+            else:
+                proc = subprocess.run([sys.executable, "-m", "fwmsim.cli", *argv],
+                                      capture_output=True, text=True, env=env, timeout=120)
+                code, out, err = proc.returncode, proc.stdout, proc.stderr
+            files = {f.name: f.read_bytes() for f in sorted((tmp_path / where).glob(f"out{k}/*"))}
+            results.setdefault(k, []).append((code, out, err, files))
+    assert [r[0][0] for r in results.values()] == [0, 2, 0, 0]
+    for together, apart in results.values():
+        assert together == apart

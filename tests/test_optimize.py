@@ -1,14 +1,18 @@
 """Controlled-phase fidelity search: determinism, bookkeeping, re-evaluation."""
 
 import dataclasses
+import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
-from fwmsim.dynamics import computational_indices
+from fwmsim.dynamics import computational_indices, reachable
 from fwmsim.errors import OptimizationError, TrackingError
 from fwmsim.operators import FockCutoffs, basis_state, product_state
-from fwmsim.optimize import _resonance_seeded, controlled_phase_fidelity, maximize_fidelity
+from fwmsim.optimize import (DEFAULT_TIME_POINTS, TIME_WINDOW, _resonance_seeded, _scan,
+                             _sector_eigh, controlled_phase_fidelity, maximize_fidelity)
 from fwmsim.presets import cross_kerr_point
 from fwmsim.schemes import build_full_hamiltonian
 
@@ -103,9 +107,10 @@ def test_small_search_exceeds_099():
 def _per_time_scan(params, cutoffs, gate_time_bounds=(60.0, 120.0),
                    time_window=0.02, time_points=801):
     """The controlled-phase objective as a plain loop over scan times: the
-    state and the target vector are rebuilt at every time."""
-    w, u = np.linalg.eigh(build_full_hamiltonian(params, (), cutoffs).static)
+    state and the target vector are rebuilt at every time from the same
+    per-sector (w, u) as the search, so only the scan differs."""
     comp = computational_indices(cutoffs, "a")
+    w, u = _sector_eigh(build_full_hamiltonian(params, (), cutoffs).static.real, comp[0])
     energies = np.empty(4)
     for k, idx in enumerate(comp):
         weights = np.abs(u[idx, :]) ** 2
@@ -183,3 +188,128 @@ def test_bounds_pct_narrows_search_region():
     assert spread(narrow) <= 0.02 + 1e-12
     assert spread(wide) > 0.02
     assert wide.history == maximize_fidelity(4.0, budget=30, seed=1, bounds_pct=0.1).history
+
+
+def _scan_inputs(params, cutoffs):
+    """(w, rows, cols) of the search's scan: the per-sector eigensystem, the
+    computational rows of u times c0 and the branch columns."""
+    comp = computational_indices(cutoffs, "a")
+    w, u = _sector_eigh(build_full_hamiltonian(params, (), cutoffs).static.real, comp[0])
+    cols = np.argmax(np.abs(u[comp]) ** 2, axis=1)
+    c0 = u.T @ product_state(cutoffs, "a", [1, 1], [1, 1]).real
+    return w, u[comp] * c0, cols
+
+
+def _mp_fidelity(w, rows, cols, t):
+    """The scan's |<target(t)|psi(t)>|^2 for the same (w, rows, cols) in
+    40-digit arithmetic."""
+    with mpmath.workdps(40):
+        phases = [mpmath.expjpi(-2 * mpmath.mpf(x) * t) for x in w.tolist()]
+        overlap = mpmath.fsum(
+            mpmath.expjpi(2 * mpmath.mpf(w[c]) * t)
+            * mpmath.fsum(r * ph for r, ph in zip(row, phases))
+            for row, c in zip(rows.tolist(), cols)) / 2
+        return abs(overlap) ** 2
+
+
+def test_scan_matches_40_digit_reference():
+    # the factorized phases are reduced modulo one cycle without error, so the
+    # scan is at roundoff against the exact sums; cos/sin of the unreduced
+    # phases, up to 5.6e4 rad, are off by up to 2.0e-14 at these points
+    base = cross_kerr_point()["params"]
+    history = maximize_fidelity(4.0, budget=13, seed=0).history
+    assert len(history) >= 4
+    for (e_j1, e_j2, b0), fidelity, gate_time in history:
+        p = dataclasses.replace(base, e_j1=e_j1, e_j2=e_j2, b0=b0, e_mx=4.0)
+        ev = controlled_phase_fidelity(p, CUT)
+        w, rows, cols = _scan_inputs(p, CUT)
+        t_gate = 1.0 / (2.0 * abs(ev.chi_lab))
+        ts = np.linspace((1.0 - TIME_WINDOW) * t_gate, (1.0 + TIME_WINDOW) * t_gate,
+                         DEFAULT_TIME_POINTS)
+        f = _scan(w, rows, cols, ts)
+        best = int(np.argmax(f))
+        assert (f[best], ts[best]) == (ev.fidelity, ev.gate_time) == (fidelity, gate_time)
+        # three times whose block start plus offset misses the linspace time
+        # by an ulp, so the first-order gap correction is checked too
+        m = math.isqrt(ts.size - 1) + 1
+        k = np.arange(ts.size)
+        gap = np.flatnonzero((ts - ts[k - k % m]) - (ts[k % m] - ts[0]))
+        for k in (best, *gap[[0, gap.size // 2, -1]]):
+            assert abs(f[k] - _mp_fidelity(w, rows, cols, ts[k])) <= 2e-15
+
+
+@pytest.mark.parametrize("cut", [FockCutoffs(1, 1), FockCutoffs(2, 3), CUT])
+@pytest.mark.parametrize("coupled", [True, False])
+def test_sector_eigh_splits_exactly(cut, coupled):
+    p = cross_kerr_point()["params"]
+    if not coupled:  # unequal sectors: |a;00> reaches only the uncoupled ladder
+        p = dataclasses.replace(p, g1=0.0, g2=0.0)
+    h = build_full_hamiltonian(p, (), cut).static
+    assert not h.imag.any()
+    seed = computational_indices(cut, "a")[0]
+    w, u = _sector_eigh(h.real, seed)
+    inside = np.isin(np.arange(cut.dim), reachable(h, np.arange(cut.dim) == seed))
+    assert (inside.sum() == cut.dim // 2) == coupled
+    # every eigenvector is exactly 0 outside its sector
+    mine = np.any(u[inside] != 0, axis=0)
+    assert mine.sum() == inside.sum()
+    assert not u[np.ix_(~inside, mine)].any() and not u[np.ix_(inside, ~mine)].any()
+    assert np.abs(np.sort(w) - np.linalg.eigvalsh(h)).max() <= 1e-12
+    assert np.abs(u.T @ u - np.eye(cut.dim)).max() <= 1e-13
+    assert np.abs((u * w) @ u.T - h.real).max() <= 1e-12
+
+
+def _branch_errors(w, u, comp, ref):
+    """Largest error of the four branch energies and the error of chi_lab
+    against the 40-digit eigenvalues ``ref``."""
+    energies = w[np.argmax(np.abs(u[comp]) ** 2, axis=1)]
+    exact = [min(ref, key=lambda r: abs(r - e)) for e in energies.tolist()]
+    chi = energies[3] - energies[2] - energies[1] + energies[0]
+    chi_exact = exact[3] - exact[2] - exact[1] + exact[0]
+    return (max(float(abs(e - r)) for e, r in zip(energies.tolist(), exact)),
+            float(abs(chi - chi_exact)))
+
+
+def test_sector_branch_energies_against_40_digit_eigsy():
+    # ck preset at cutoff 2: the full complex eigh is off by 3.2e-14 in the
+    # branch energies and 3.1e-14 in chi_lab, the real per-sector solve by
+    # 8.9e-15 and 1.9e-14
+    cut = FockCutoffs(2, 2)
+    h = build_full_hamiltonian(cross_kerr_point()["params"], (), cut).static
+    comp = computational_indices(cut, "a")
+    with mpmath.workdps(40):
+        ref = list(mpmath.eigsy(mpmath.matrix(h.real.tolist()), eigvals_only=True))
+        full = _branch_errors(*np.linalg.eigh(h), comp, ref)
+        sector = _branch_errors(*_sector_eigh(h.real, comp[0]), comp, ref)
+    assert sector[0] <= full[0] and sector[1] <= full[1]
+
+
+def test_scan_of_one_and_two_points():
+    p = cross_kerr_point()["params"]
+    t_gate = 1.0 / (2.0 * abs(controlled_phase_fidelity(p, CUT).chi_lab))
+    ends = np.linspace((1.0 - TIME_WINDOW) * t_gate, (1.0 + TIME_WINDOW) * t_gate, 2)
+    one = controlled_phase_fidelity(p, CUT, time_points=1)
+    assert one.gate_time == (1.0 - TIME_WINDOW) * t_gate
+    two = controlled_phase_fidelity(p, CUT, time_points=2)
+    assert two.gate_time in ends.tolist()
+    for ev, n in ((one, 1), (two, 2)):
+        want = _per_time_scan(p, CUT, time_points=n)
+        assert ev.gate_time == want[1]
+        assert abs(ev.fidelity - want[0]) <= 1e-13
+
+
+def test_million_point_scan_memory_stays_blocked():
+    p = cross_kerr_point()["params"]
+    coarse = controlled_phase_fidelity(p, CUT)
+    tracemalloc.start()
+    try:
+        fine = controlled_phase_fidelity(p, CUT, time_points=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the times and the fidelities hold 8 MB each; the phase tables and
+    # overlaps are bounded per block
+    assert peak <= 32e6
+    # the fine grid has a point within 4e-6 ns of the coarse grid's best
+    assert fine.fidelity >= coarse.fidelity - 1e-12
+    assert abs(fine.gate_time - coarse.gate_time) <= 2 * TIME_WINDOW * fine.gate_time / 800
