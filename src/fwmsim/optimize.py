@@ -15,8 +15,8 @@ second-order shifts that the closed forms do not, and they would otherwise
 be misread as gate error.
 
 Each candidate costs one real ``eigh`` per parity sector (the drive-free H
-is real and splits into the states reachable from |a;00> and the rest; at
-cutoffs 1-5 two equal halves, solved as one stacked ``eigh``) and one scan.
+is real and splits into the states reachable from |a;00> and the rest,
+two equal halves when the modes are coupled) and one scan.
 The scan's phases exp(-2 pi i w t) come from a factorized table: each time
 is a block start plus an offset, about sqrt(time_points) of each, and every
 phase is reduced modulo one cycle without error before its cos and sin.
@@ -68,17 +68,12 @@ class OptimizationResult:
 def _sector_eigh(h: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(w, u) of the real symmetric ``h`` from one ``eigh`` per invariant
     sector: the basis states :func:`reachable` from basis state ``seed`` and
-    the rest. Equal sectors share one stacked ``eigh``. Each column of u is
-    exactly 0 outside its sector."""
+    the rest. Each column of u is exactly 0 outside its sector."""
     n = len(h)
     inside = np.zeros(n, dtype=bool)
     inside[reachable(h, np.arange(n) == seed)] = True
     sectors = (np.flatnonzero(inside), np.flatnonzero(~inside))
-    blocks = [h[np.ix_(s, s)] for s in sectors]
-    if sectors[0].size == sectors[1].size:
-        solved = zip(*np.linalg.eigh(np.stack(blocks)))
-    else:
-        solved = [np.linalg.eigh(b) for b in blocks]
+    solved = [np.linalg.eigh(h[np.ix_(s, s)]) for s in sectors]
     w, u = np.empty(n), np.zeros((n, n))
     start = 0
     for s, (ws, us) in zip(sectors, solved):
