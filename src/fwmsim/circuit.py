@@ -291,7 +291,8 @@ def energy_sweep(params: CircuitParams, b0_range: tuple[float, float],
     """Sweep b0 over an interval and report level crossings.
 
     Crossings are sign changes of E_a - E_b and E_c - E_d between adjacent
-    sweep points, reported with their bracketing b0 values.
+    nonzero samples, reported with their bracketing b0 values: a zero sample
+    lies inside the bracket, and a touch without a sign change is no crossing.
     """
     if points < 2:
         raise ValueError("sweep needs at least 2 points")
@@ -302,7 +303,8 @@ def energy_sweep(params: CircuitParams, b0_range: tuple[float, float],
     crossings = []
     for pair, (u, v) in (("a-b", (0, 1)), ("c-d", (2, 3))):
         diff = energies[:, u] - energies[:, v]
-        sign_change = np.where(np.sign(diff[:-1]) * np.sign(diff[1:]) < 0)[0]
-        for k in sign_change:
-            crossings.append((pair, float(b0s[k]), float(b0s[k + 1])))
+        nonzero = np.flatnonzero(diff)
+        signs = np.sign(diff[nonzero])
+        for k in np.flatnonzero(signs[:-1] * signs[1:] < 0):
+            crossings.append((pair, float(b0s[nonzero[k]]), float(b0s[nonzero[k + 1]])))
     return EnergySweep(b0=b0s, energies=energies, crossings=tuple(crossings))

@@ -26,7 +26,7 @@ from .effective import controlled_phase_targets, effective_params
 from .errors import ConfigError, FwmsimError, IntegrationError, NumericError, SchemeError
 from .io import format_frequency, write_csv, write_json
 from .operators import basis_state, product_state
-from .optimize import maximize_fidelity
+from .optimize import SEARCHED_SCHEME, maximize_fidelity
 from .schemes import (Scheme, build_full_hamiltonian, build_scheme_frame,
                       dispersive_check, frame_h0_diagonal, lab_drives)
 
@@ -168,6 +168,9 @@ def cmd_run(cfg: ResolvedConfig, args) -> int:
 
 def _search(cfg: ResolvedConfig, e_mx: float):
     """The config's fidelity search (its ``optimize`` section) at ``e_mx``."""
+    if cfg.scheme is not SEARCHED_SCHEME:
+        raise ConfigError("scheme", f"the fidelity search is for scheme "
+                          f"{SEARCHED_SCHEME.value}, not {cfg.scheme.value}")
     opt = cfg.optimize
     return maximize_fidelity(
         e_mx, bounds_pct=opt["bounds_pct"], budget=opt["budget"], seed=cfg.seed,

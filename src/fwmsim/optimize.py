@@ -36,9 +36,10 @@ from .circuit import CircuitParams
 from .dynamics import computational_indices, reachable
 from .errors import OptimizationError, TrackingError
 from .operators import FockCutoffs, product_state
-from .presets import cross_kerr_point
-from .schemes import build_full_hamiltonian
+from .presets import operating_point
+from .schemes import Scheme, build_full_hamiltonian
 
+SEARCHED_SCHEME = Scheme.CROSS_KERR       # its controlled phase is the searched gate
 DEFAULT_GATE_TIME_BOUNDS = (60.0, 120.0)  # ns; keeps the search on fast gates
 TIME_WINDOW = 0.02                        # +-2% scan catches leakage revivals
 DEFAULT_TIME_POINTS = 801
@@ -222,8 +223,8 @@ def maximize_fidelity(e_mx: float, *, bounds_pct: float = DEFAULT_BOUNDS_PCT,
     """Maximize controlled-phase fidelity over (E_J1, E_J2, b0, gate time).
 
     Deterministic given ``seed``. The search box is +-``bounds_pct``, in
-    (0, 1), around ``base_params`` (default: the bundled cross-Kerr operating
-    point) with its ``e_mx`` replaced by ``e_mx``.
+    (0, 1), around ``base_params`` (default: the bundled operating point of
+    ``SEARCHED_SCHEME``) with its ``e_mx`` replaced by ``e_mx``.
     Strategy: the reference point first, then deterministic candidates
     re-centered on the two-photon resonance, then seeded-uniform sampling,
     then a Nelder-Mead refinement from the best sample; the total number of
@@ -233,7 +234,8 @@ def maximize_fidelity(e_mx: float, *, bounds_pct: float = DEFAULT_BOUNDS_PCT,
         raise ValueError("budget must be at least 1")
     if not 0 < bounds_pct < 1:
         raise ValueError("bounds_pct must be in (0, 1)")
-    base = replace(base_params or cross_kerr_point()["params"], e_mx=e_mx)
+    reference = operating_point(SEARCHED_SCHEME)
+    base = replace(base_params or reference["params"], e_mx=e_mx)
     bounds = {name: tuple(sorted(((1.0 - bounds_pct) * getattr(base, name),
                                   (1.0 + bounds_pct) * getattr(base, name))))
               for name in ("e_j1", "e_j2", "b0")}
@@ -264,7 +266,7 @@ def maximize_fidelity(e_mx: float, *, bounds_pct: float = DEFAULT_BOUNDS_PCT,
 
     n_sample = max(1, int(round(budget * 0.6)))
     candidates = [(base.e_j1, base.e_j2, base.b0)]
-    candidates += _resonance_seeded(base, bounds, cross_kerr_point()["detunings"].delta,
+    candidates += _resonance_seeded(base, bounds, reference["detunings"].delta,
                                     min(12, n_sample - 1))
     while len(candidates) < n_sample:
         candidates.append(tuple(rng.uniform(*bounds[k])

@@ -21,8 +21,7 @@ from fwmsim.effective import (controlled_phase_targets, effective_params,
                               IdealOpSpec)
 from fwmsim.operators import FockCutoffs, basis_state, product_state
 from fwmsim.optimize import controlled_phase_fidelity, maximize_fidelity
-from fwmsim.presets import (beam_splitter_point, cross_kerr_point,
-                            single_mode_squeeze_point, two_mode_squeeze_point)
+from fwmsim.presets import cross_kerr_point, operating_point
 from fwmsim.schemes import (Detunings, DriveSpec, Scheme, build_scheme_frame)
 
 CUT = FockCutoffs(3, 3)
@@ -84,7 +83,7 @@ def test_criterion_2_cross_kerr_closed_form():
 def test_criterion_3_two_mode_squeeze_closed_form():
     """Two-mode squeeze point at 2 GHz drives: |chi| = 4.3 +- 0.2 MHz and the
     back-solved drive frequencies land on 10.9 / 24.9 GHz within 0.1."""
-    frame, _ = _frame(two_mode_squeeze_point())
+    frame, _ = _frame(operating_point(Scheme.TWO_MODE_SQUEEZE))
     ep = effective_params(frame)
     assert ep.chi_abs_mhz == pytest.approx(4.3, abs=0.2)
     assert frame.drive_frequencies[1] == pytest.approx(10.9, abs=0.1)
@@ -120,7 +119,7 @@ def test_criterion_4b_oracle_agreement_two_mode_squeeze():
     the 10% criterion at full drive strength fails honestly.
     """
     start = time.perf_counter()
-    pt = two_mode_squeeze_point()
+    pt = operating_point(Scheme.TWO_MODE_SQUEEZE)
     frame, _ = _frame(pt)
     ep = effective_params(frame)
     oracle = dressed_energy_oracle(frame)
@@ -150,8 +149,8 @@ def test_criterion_4c_oracle_report_beam_splitter_and_single_mode():
     (6.2 / 11.1 MHz) for the beam splitter and single-mode squeeze; the oracle
     is authoritative and no equality with the nominal values is asserted."""
     report = []
-    for pt, quoted in ((beam_splitter_point(), 6.2),
-                       (single_mode_squeeze_point(), 11.1)):
+    for pt, quoted in ((operating_point(Scheme.BEAM_SPLITTER), 6.2),
+                       (operating_point(Scheme.SINGLE_MODE_SQUEEZE), 11.1)):
         frame, _ = _frame(pt)
         ep = effective_params(frame)
         oracle = dressed_energy_oracle(frame)
@@ -242,8 +241,7 @@ def test_criterion_7_property_suite():
 
     # hermiticity of every assembled Hamiltonian at 20 random times
     rng = np.random.RandomState(77)
-    for pt in (beam_splitter_point(), cross_kerr_point(),
-               two_mode_squeeze_point(), single_mode_squeeze_point()):
+    for pt in map(operating_point, Scheme):
         f, _ = _frame(pt, FockCutoffs(2, 2))
         ham = f.hamiltonian()
         for t in rng.uniform(0.0, 100.0, 20):

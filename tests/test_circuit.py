@@ -244,6 +244,13 @@ def test_energy_sweep_crossings():
     assert "a-b" in pairs and "c-d" in pairs
     ab = [c for c in sweep.crossings if c[0] == "a-b"][0]
     assert 0.0 < ab[1] < 1.0  # order exchange at positive b0 for this point
+    # at 201 points both differences are exactly 0 on the b0 = 0 sample: the
+    # crossing is bracketed by the nonzero samples on either side of it
+    for points, width in ((200, 2 / 199), (201, 2 * 2 / 200)):
+        sweep = energy_sweep(_params(8.0, 0.0, 4.0, 0.0), (-1.0, 1.0), points)
+        assert [c[0] for c in sweep.crossings] == ["a-b", "c-d"], points
+        for _, lo, hi in sweep.crossings:
+            assert lo < 0.0 < hi and hi - lo == pytest.approx(width)
 
 
 def test_energy_sweep_rows_match_oracle():

@@ -16,11 +16,11 @@ from fwmsim.cli import main
 from fwmsim.config import MAX_POINTS, resolve
 from fwmsim.errors import ConfigError
 from fwmsim.operators import FockCutoffs
-from fwmsim.presets import (as_config, beam_splitter_point, cross_kerr_point,
-                            single_mode_squeeze_point, two_mode_squeeze_point)
+from fwmsim.presets import config_document
+from fwmsim.schemes import Scheme
 
-CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "configs")
+REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIG_DIR = os.path.join(REPO_DIR, "src", "fwmsim", "configs")
 CAPACITANCE_CIRCUIT = {
     "e_j1": 8.45, "e_j2": 13.95, "b0": -0.61, "omega_a1": 10.0, "omega_a2": 16.0,
     "capacitances": {"c_j1": 4e-16, "c_j2": 5e-16, "c_g1": 6e-17, "c_g2": 7e-17,
@@ -31,7 +31,7 @@ CAPACITANCE_CIRCUIT = {
 
 @pytest.fixture
 def ck_config(tmp_path):
-    cfg = as_config(cross_kerr_point())
+    cfg = config_document(Scheme.CROSS_KERR)
     path = tmp_path / "ck.json"
     path.write_text(json.dumps(cfg))
     return path, cfg
@@ -85,7 +85,7 @@ def test_derive_json_roundtrips_through_validator(ck_config, tmp_path):
 
 
 def test_unknown_key_exits_2_with_field_path(tmp_path, capsys):
-    cfg = as_config(cross_kerr_point())
+    cfg = config_document(Scheme.CROSS_KERR)
     cfg["circuit"]["e_junk"] = 1.0
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(cfg))
@@ -102,7 +102,7 @@ def test_unknown_scheme_code_is_config_error(ck_config):
 
 
 def test_missing_required_exits_2(tmp_path, capsys):
-    cfg = as_config(cross_kerr_point())
+    cfg = config_document(Scheme.CROSS_KERR)
     del cfg["circuit"]["e_j1"]
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(cfg))
@@ -111,7 +111,7 @@ def test_missing_required_exits_2(tmp_path, capsys):
 
 
 def test_singular_detuning_exits_3(tmp_path, capsys):
-    cfg = as_config(cross_kerr_point())
+    cfg = config_document(Scheme.CROSS_KERR)
     cfg["detunings"]["delta"] = 0.0
     p = tmp_path / "sing.json"
     p.write_text(json.dumps(cfg))
@@ -230,8 +230,7 @@ def test_optimize_command(ck_config, tmp_path):
 
 
 def test_scheme_and_cutoff_overrides(tmp_path):
-    from fwmsim.presets import beam_splitter_point
-    cfg = as_config(beam_splitter_point())
+    cfg = config_document(Scheme.BEAM_SPLITTER)
     p = tmp_path / "bs.json"
     p.write_text(json.dumps(cfg))
     assert main(["derive", "--config", str(p), "--out", str(tmp_path),
@@ -242,12 +241,11 @@ def test_scheme_and_cutoff_overrides(tmp_path):
     assert main(["derive", "--config", str(p), "--scheme", "ck"]) == 2
 
 
-@pytest.mark.parametrize("point_name", ["beam_splitter_point",
-                                        "two_mode_squeeze_point",
-                                        "single_mode_squeeze_point"])
-def test_run_all_schemes_smoke(point_name, tmp_path):
-    import fwmsim.presets as presets
-    cfg = as_config(getattr(presets, point_name)())
+@pytest.mark.parametrize("scheme", [Scheme.BEAM_SPLITTER, Scheme.TWO_MODE_SQUEEZE,
+                                    Scheme.SINGLE_MODE_SQUEEZE],
+                         ids=lambda s: f"{s.name.lower()}_point")
+def test_run_all_schemes_smoke(scheme, tmp_path):
+    cfg = config_document(scheme)
     cfg["simulation"] = {"duration_ns": 15.0, "points": 51}
     p = tmp_path / "pt.json"
     p.write_text(json.dumps(cfg))
@@ -271,7 +269,7 @@ def test_invalid_bounds_pair_exits_2(ck_config, tmp_path, capsys):
 
 
 def test_capacitance_form_config(tmp_path):
-    cfg = as_config(cross_kerr_point())
+    cfg = config_document(Scheme.CROSS_KERR)
     cfg["circuit"] = CAPACITANCE_CIRCUIT
     del cfg["detunings"]
     p = tmp_path / "caps.json"
@@ -301,7 +299,7 @@ def test_invalid_capacitance_exits_2_without_traceback(tmp_path, bad):
     circuit = dict(CAPACITANCE_CIRCUIT,
                    capacitances=dict(CAPACITANCE_CIRCUIT["capacitances"], **bad))
     proc = _run_cli_subprocess(tmp_path, "derive",
-                               dict(as_config(cross_kerr_point()), circuit=circuit))
+                               dict(config_document(Scheme.CROSS_KERR), circuit=circuit))
     assert proc.returncode == 2
     assert "circuit.capacitances" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -385,7 +383,7 @@ def _scipy_probe(jobs, epilogue=""):
 
 def test_derive_run_and_b0_sweep_load_no_scipy(tmp_path):
     # scipy is a third of a second of start-up; only the fidelity search and
-    # the ideal operations use it
+    # the ideal operations use it, not the commands nor loading the presets
     def job(command, config, flags=(), **sections):
         doc = json.load(open(os.path.join(CONFIG_DIR, config)))
         doc.update(sections)
@@ -402,16 +400,23 @@ def test_derive_run_and_b0_sweep_load_no_scipy(tmp_path):
         simulation={"frame": "lab", "duration_ns": 0.001, "points": 3})
     job("sweep", "cross_kerr.json",
         sweep={"variable": "b0", "start": -1.5, "stop": 1.5, "points": 21})
-    [(after_import, codes, after_jobs)] = _scipy_probe(jobs)
+    epilogue = """
+from fwmsim.presets import operating_point
+from fwmsim.schemes import Scheme
+points = [operating_point(s)["scheme"].value for s in Scheme]
+print(json.dumps([points, scipy_modules()]))
+"""
+    (after_import, codes, after_jobs), (points, after_presets) = _scipy_probe(jobs, epilogue)
     assert after_import == []
     assert codes == [0] * len(jobs)
     assert after_jobs == []
+    assert points == [s.value for s in Scheme] and after_presets == []
 
 
 def test_search_and_ideal_operation_load_scipy_when_called(tmp_path):
     # the deferred imports run: expm for an ideal operation, Nelder-Mead for
     # a search with budget left after the seeded samples
-    cfg = as_config(cross_kerr_point())
+    cfg = config_document(Scheme.CROSS_KERR)
     cfg["optimize"] = {"budget": 12}
     path = tmp_path / "ck.json"
     path.write_text(json.dumps(cfg))
@@ -431,8 +436,7 @@ print(json.dumps([u.shape, np.allclose(u.conj().T @ u, np.eye(9)), "scipy.linalg
 
 def test_derive_output_independent_of_hash_seed(tmp_path):
     # the dispersive entries follow a fixed order, not the string-hash seed
-    config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "configs", "cross_kerr.json")
+    config = os.path.join(CONFIG_DIR, "cross_kerr.json")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(fwmsim.__file__)))
     outputs = []
@@ -558,18 +562,19 @@ def test_points_at_max_points_accepted(ck_config):
     assert resolved.optimize["time_points"] == MAX_POINTS
 
 
-def test_shipped_configs_match_presets():
-    points = {"beam_splitter.json": beam_splitter_point, "cross_kerr.json": cross_kerr_point,
-              "single_mode_squeeze.json": single_mode_squeeze_point,
-              "two_mode_squeeze.json": two_mode_squeeze_point}
-    assert sorted(points) == sorted(n for n in os.listdir(CONFIG_DIR) if n.endswith(".json"))
-    for name, point in points.items():
-        with open(os.path.join(CONFIG_DIR, name)) as fh:
-            assert json.load(fh) == as_config(point()), name
+def test_package_ships_one_config_per_scheme():
+    # the shipped documents are the presets: one per scheme, each naming it
+    from importlib import resources
+    shipped = sorted(p.name for p in (resources.files("fwmsim") / "configs").iterdir()
+                     if p.name.endswith(".json"))
+    assert shipped == sorted(f"{s.name.lower()}.json" for s in Scheme)
+    for scheme in Scheme:
+        assert config_document(scheme)["scheme"] == scheme.value
+        assert config_document(scheme) is not config_document(scheme)
 
 
 def test_seed_override_and_delta_f_reach_derive_json(tmp_path):
-    cfg = as_config(beam_splitter_point())
+    cfg = config_document(Scheme.BEAM_SPLITTER)
     cfg["delta_f"] = 0.0125
     p = tmp_path / "df.json"
     p.write_text(json.dumps(cfg))
@@ -602,15 +607,30 @@ def test_seed_override_and_delta_f_reach_derive_json(tmp_path):
         "ck-delta_f-sweep"])
 def test_out_of_range_inputs_exit_2_without_traceback(tmp_path, command, section, value,
                                                        field):
-    cfg = dict(as_config(cross_kerr_point()), **{section: value})
+    cfg = dict(config_document(Scheme.CROSS_KERR), **{section: value})
     proc = _run_cli_subprocess(tmp_path, command, cfg)
     assert proc.returncode == 2
     assert f"config error: {field}" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command,output", [("optimize", "optimize.json"),
+                                            ("sweep", "fidelity_sweep.csv")])
+@pytest.mark.parametrize("scheme", [Scheme.BEAM_SPLITTER, Scheme.TWO_MODE_SQUEEZE,
+                                    Scheme.SINGLE_MODE_SQUEEZE], ids=lambda s: s.value)
+def test_fidelity_search_of_other_scheme_exits_2(tmp_path, scheme, command, output):
+    # the controlled-phase search exists for the cross-Kerr scheme only
+    cfg = dict(config_document(scheme), optimize={"budget": 2},
+               sweep={"variable": "emx", "start": 4.0, "stop": 4.0, "points": 1})
+    proc = _run_cli_subprocess(tmp_path, command, cfg)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"config error: scheme: the fidelity search is for scheme ck, "
+                           f"not {scheme.value}\n")
+    assert not (tmp_path / output).exists()
+
+
 def test_zero_delta_f_on_cross_kerr_accepted(tmp_path):
-    cfg = dict(as_config(cross_kerr_point()), delta_f=0)
+    cfg = dict(config_document(Scheme.CROSS_KERR), delta_f=0)
     p = tmp_path / "df0.json"
     p.write_text(json.dumps(cfg))
     assert main(["derive", "--config", str(p), "--out", str(tmp_path)]) == 0
@@ -623,7 +643,7 @@ def test_capacitance_hierarchy_warning_on_stderr(tmp_path, c_m, warned):
     circuit = dict(CAPACITANCE_CIRCUIT,
                    capacitances=dict(CAPACITANCE_CIRCUIT["capacitances"], c_m=c_m))
     proc = _run_cli_subprocess(tmp_path, "derive",
-                               dict(as_config(cross_kerr_point()), circuit=circuit))
+                               dict(config_document(Scheme.CROSS_KERR), circuit=circuit))
     assert proc.returncode == 0
     lines = proc.stderr.splitlines()
     assert len(lines) == int(warned)
@@ -640,7 +660,7 @@ def _strict_json(path):
 
 def test_infinite_gate_time_written_as_null(tmp_path):
     # without drive 1 the beam splitter has chi = 0, so its gate time is infinite
-    cfg = as_config(beam_splitter_point())
+    cfg = config_document(Scheme.BEAM_SPLITTER)
     cfg["drives"][0]["rabi"] = 0.0
     cfg["simulation"] = {"duration_ns": 0.5, "points": 3}
     p = tmp_path / "chi0.json"
@@ -655,7 +675,7 @@ def test_infinite_gate_time_written_as_null(tmp_path):
 @pytest.mark.parametrize("frame", ["interaction", "lab"])
 def test_infinite_default_duration_exits_2(tmp_path, frame):
     # without drive 1 the beam splitter has chi = 0, so its gate time is infinite
-    cfg = as_config(beam_splitter_point())
+    cfg = config_document(Scheme.BEAM_SPLITTER)
     cfg["drives"][0]["rabi"] = 0.0
     cfg["simulation"] = {"frame": frame, "points": 3}
     proc = _run_cli_subprocess(tmp_path, "run", cfg)
@@ -668,7 +688,7 @@ def test_infinite_default_duration_exits_2(tmp_path, frame):
 
 def test_readme_key_table_lists_every_config_field():
     from fwmsim import config
-    readme = os.path.join(os.path.dirname(CONFIG_DIR), "README.md")
+    readme = os.path.join(REPO_DIR, "README.md")
     with open(readme) as fh:
         text = fh.read().split("Every key, as declared by the field tables", 1)[1]
     documented = set()

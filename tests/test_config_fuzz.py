@@ -21,7 +21,7 @@ from fwmsim.config import MAX_ABS, MAX_CUTOFF, MAX_POINTS, resolve
 from fwmsim.errors import ConfigError
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "configs")
+                          "src", "fwmsim", "configs")
 # the shipped configs carry no sample counts; every document gets the
 # simulation, sweep and optimizer counts so that mutations reach them
 COUNTS = {"simulation": {"points": 2001},

@@ -29,8 +29,7 @@ from fwmsim.effective import effective_params
 from fwmsim.errors import IntegrationError, TrackingError
 from fwmsim.hamiltonian import Hamiltonian
 from fwmsim.operators import FockCutoffs, basis_state, product_state
-from fwmsim.presets import (as_config, cross_kerr_point, operating_point,
-                            two_mode_squeeze_point)
+from fwmsim.presets import config_document, cross_kerr_point, operating_point
 from fwmsim.schemes import Scheme, build_full_hamiltonian, build_scheme_frame, lab_drives
 
 CUT = FockCutoffs(2, 2)
@@ -318,7 +317,7 @@ def test_propagate_frame_memory_stays_blocked():
 def test_lab_run_memory_stays_blocked(tmp_path):
     # a static lab run traced in blocks: every state as one matrix would be
     # 20001 x 100 complex = 32 MB
-    cfg = as_config(cross_kerr_point())
+    cfg = config_document(Scheme.CROSS_KERR)
     cfg["simulation"] = {"frame": "lab", "points": 20001}
     path = tmp_path / "ck_lab.json"
     path.write_text(json.dumps(cfg))
@@ -664,8 +663,7 @@ def test_oracle_fourth_order_scaling():
 
 def test_beam_splitter_swap_dynamics():
     # photon swap |a;1,0> -> |a;0,1> near t = 1/(4|chi|), chi from the oracle
-    from fwmsim.presets import beam_splitter_point
-    pt = beam_splitter_point()
+    pt = operating_point(Scheme.BEAM_SPLITTER)
     cut = FockCutoffs(3, 3)
     frame, _ = build_scheme_frame(pt["params"], pt["scheme"], pt["drives"], cut)
     chi = abs(dressed_energy_oracle(frame).chi)
@@ -682,8 +680,7 @@ def test_beam_splitter_swap_dynamics():
 
 def test_single_mode_squeeze_pair_production():
     # two-photon emission into mode 1: |b;0> -> |b;2> at the oracle's balanced Delta_F
-    from fwmsim.presets import single_mode_squeeze_point
-    pt = single_mode_squeeze_point()
+    pt = operating_point(Scheme.SINGLE_MODE_SQUEEZE)
     cut = FockCutoffs(3, 3)
     frame, _ = build_scheme_frame(pt["params"], pt["scheme"], pt["drives"], cut,
                                   detunings=pt["detunings"])
@@ -704,7 +701,7 @@ def test_single_mode_squeeze_pair_production():
 def test_two_mode_squeeze_pair_production():
     # pair creation across the modes; this operating point is only marginally
     # dispersive, so assert the channel opens rather than a clean Rabi swap
-    pt = two_mode_squeeze_point()
+    pt = operating_point(Scheme.TWO_MODE_SQUEEZE)
     cut = FockCutoffs(3, 3)
     frame, _ = build_scheme_frame(pt["params"], pt["scheme"], pt["drives"], cut)
     oracle = dressed_energy_oracle(frame)
@@ -722,7 +719,7 @@ def test_two_mode_squeeze_pair_production():
 
 def test_oracle_two_mode_squeeze_weak_drive_agreement():
     # with gently dispersive drives the oracle converges on the closed form
-    pt = two_mode_squeeze_point()
+    pt = operating_point(Scheme.TWO_MODE_SQUEEZE)
     from fwmsim.schemes import DriveSpec
     drives = (DriveSpec(slot=1, rabi=0.5, detuning=3.0),
               DriveSpec(slot=2, rabi=0.5, detuning=-5.0))

@@ -12,8 +12,7 @@ from fwmsim.effective import (EffectiveParams, IdealOpSpec, controlled_phase_tar
                               ideal_operation)
 from fwmsim.errors import SingularityError, TruncationError
 from fwmsim.operators import FockCutoffs
-from fwmsim.presets import (beam_splitter_point, cross_kerr_point,
-                            single_mode_squeeze_point, two_mode_squeeze_point)
+from fwmsim.presets import cross_kerr_point, operating_point
 from fwmsim.schemes import Detunings, DriveSpec, Scheme, build_scheme_frame
 
 CUT = FockCutoffs(2, 2)
@@ -33,7 +32,7 @@ def test_cross_kerr_closed_form_reference_values():
 
 
 def test_two_mode_squeeze_closed_form_reference_value():
-    frame, _ = _build(two_mode_squeeze_point())
+    frame, _ = _build(operating_point(Scheme.TWO_MODE_SQUEEZE))
     ep = effective_params(frame)
     assert ep.chi_abs_mhz == pytest.approx(4.3, abs=0.2)
 
@@ -41,7 +40,7 @@ def test_two_mode_squeeze_closed_form_reference_value():
 def test_dispersive_suppression_large_detuning():
     # pushing the first single-photon detuning to 1e6 GHz (with the two-photon
     # detuning following consistently) kills every scheme's coupling
-    bs = beam_splitter_point()
+    bs = operating_point(Scheme.BEAM_SPLITTER)
     drives = (DriveSpec(slot=1, rabi=1.5, detuning=1e6),
               DriveSpec(slot=2, rabi=1.5, detuning=-4.0))
     frame, _ = build_scheme_frame(bs["params"], bs["scheme"], drives, CUT)
@@ -264,7 +263,7 @@ def _moderate_variants():
     out = []
     for _ in range(2):
         s = rng.uniform(0.9, 1.1, size=3)
-        bs = beam_splitter_point()
+        bs = operating_point(Scheme.BEAM_SPLITTER)
         out.append((bs["params"], Scheme.BEAM_SPLITTER,
                     (DriveSpec(slot=1, rabi=0.4, detuning=-4.0 * s[0]),
                      DriveSpec(slot=2, rabi=0.4, detuning=-4.1 * s[1])), None))
@@ -273,11 +272,11 @@ def _moderate_variants():
                     Scheme.CROSS_KERR, (),
                     Detunings(delta1=-4.6 * s[0], delta2=-4.9 * s[1],
                               delta=0.17 * s[2] + 0.03)))
-        sq2 = two_mode_squeeze_point()
+        sq2 = operating_point(Scheme.TWO_MODE_SQUEEZE)
         out.append((sq2["params"], Scheme.TWO_MODE_SQUEEZE,
                     (DriveSpec(slot=1, rabi=0.4, detuning=3.0 * s[0]),
                      DriveSpec(slot=2, rabi=0.4, detuning=-5.0 * s[1])), None))
-        sq1 = single_mode_squeeze_point()
+        sq1 = operating_point(Scheme.SINGLE_MODE_SQUEEZE)
         # run this one well inside the dispersive regime: the bundled point
         # has a nearly resonant mode-1 dc channel that defeats any
         # perturbative comparison

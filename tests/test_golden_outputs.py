@@ -29,7 +29,7 @@ from fwmsim.presets import operating_point
 from fwmsim.schemes import Scheme, build_scheme_frame
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "configs")
+                          "src", "fwmsim", "configs")
 
 DERIVE_SHA256 = {
     "beam_splitter.json": "a287822e45a0f941f92d42c8c2b68da05c91ee3d5dbdc397ecdf460077c2d5ff",

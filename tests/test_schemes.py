@@ -12,8 +12,7 @@ from fwmsim.circuit import CircuitParams, eigensystem
 from fwmsim.errors import FrameError, SchemeError
 from fwmsim.operators import (FockCutoffs, basis_state, destroy, embed_level_matrix,
                               mode_operator, product_state)
-from fwmsim.presets import (beam_splitter_point, cross_kerr_point, operating_point,
-                            single_mode_squeeze_point, two_mode_squeeze_point)
+from fwmsim.presets import cross_kerr_point, operating_point
 from fwmsim.schemes import (Detunings, DriveSpec, Scheme, SchemeFrame,
                             build_full_hamiltonian, build_scheme_frame, dispersive_check,
                             frame_h0_diagonal, lab_drives, lab_hamiltonian_from_frame,
@@ -40,7 +39,7 @@ def test_cross_kerr_derived_detunings():
 
 
 def test_two_mode_squeeze_detunings_and_frequencies():
-    pt = two_mode_squeeze_point()
+    pt = operating_point(Scheme.TWO_MODE_SQUEEZE)
     frame, det = build_scheme_frame(pt["params"], pt["scheme"], pt["drives"], CUT)
     assert det.delta1 == 3.0 and det.delta2 == -5.0
     assert det.delta == pytest.approx(-3.67, abs=0.1)
@@ -69,7 +68,7 @@ def test_drive_count_validation():
     with pytest.raises(SchemeError):
         build_scheme_frame(pt["params"], Scheme.CROSS_KERR,
                            (DriveSpec(slot=1, rabi=1.0, detuning=-4.0),), CUT)
-    bs = beam_splitter_point()
+    bs = operating_point(Scheme.BEAM_SPLITTER)
     with pytest.raises(SchemeError):
         build_scheme_frame(bs["params"], Scheme.BEAM_SPLITTER,
                            (bs["drives"][0],), CUT)
@@ -86,14 +85,14 @@ def test_delta_f_only_where_a_term_oscillates_at_it():
     for value in (None, 0.0, -0.0):
         _, det = build_scheme_frame(pt["params"], Scheme.CROSS_KERR, (), CUT, delta_f=value)
         assert det.delta_f == 0.0
-    bs = beam_splitter_point()
+    bs = operating_point(Scheme.BEAM_SPLITTER)
     _, det = build_scheme_frame(bs["params"], Scheme.BEAM_SPLITTER, bs["drives"], CUT,
                                 delta_f=0.05)
     assert det.delta_f == 0.05
 
 
 def test_drive_without_detuning_or_frequency_rejected():
-    bs = beam_splitter_point()
+    bs = operating_point(Scheme.BEAM_SPLITTER)
     with pytest.raises(SchemeError, match="detuning"):
         build_scheme_frame(bs["params"], Scheme.BEAM_SPLITTER,
                            (DriveSpec(slot=1, rabi=1.5),
@@ -101,7 +100,7 @@ def test_drive_without_detuning_or_frequency_rejected():
 
 
 def test_drive_frequency_beside_detuning_noted_as_ignored():
-    bs = beam_splitter_point()
+    bs = operating_point(Scheme.BEAM_SPLITTER)
     frame, _ = _frame_for(Scheme.BEAM_SPLITTER)
     set_freq = frame.drive_frequencies[1]
     for given, noted in ((3.0, True), (set_freq + 5e-4, False)):
@@ -133,7 +132,7 @@ def test_frame_hamiltonian_hermitian_at_random_times(scheme):
 
 
 def test_full_hamiltonian_hermitian_with_drives():
-    bs = beam_splitter_point()
+    bs = operating_point(Scheme.BEAM_SPLITTER)
     frame, _ = _frame_for(Scheme.BEAM_SPLITTER)
     ham = build_full_hamiltonian(bs["params"], lab_drives(frame), CUT)
     rng = np.random.RandomState(2)
@@ -210,7 +209,7 @@ def _matmul_full_hamiltonian(params, drives, cut):
 @pytest.mark.parametrize("cut", [FockCutoffs(2, 2), FockCutoffs(3, 3), FockCutoffs(4, 3)])
 @pytest.mark.parametrize("crosstalk", [{}, {"g2_1": 0.02, "g2_2": 0.03, "g3": 0.005}])
 def test_full_hamiltonian_equals_matmul_construction(cut, crosstalk):
-    bs = beam_splitter_point()
+    bs = operating_point(Scheme.BEAM_SPLITTER)
     frame, _ = _frame_for(Scheme.BEAM_SPLITTER)
     drives = lab_drives(frame)
     for params, drv in ((cross_kerr_point()["params"], ()), (bs["params"], drives)):
@@ -250,7 +249,8 @@ def _kron_full_hamiltonian(params, drives, cut):
 def test_full_hamiltonian_bytes_equal_kron_construction(cut, crosstalk):
     frame, _ = _frame_for(Scheme.BEAM_SPLITTER)
     for params, drv in ((cross_kerr_point()["params"], ()),
-                        (beam_splitter_point()["params"], lab_drives(frame))):
+                        (operating_point(Scheme.BEAM_SPLITTER)["params"],
+                         lab_drives(frame))):
         params = dataclasses.replace(params, **crosstalk)
         ham = build_full_hamiltonian(params, drv, cut)
         static, osc = _kron_full_hamiltonian(params, drv, cut)
@@ -349,7 +349,7 @@ def test_frame_matrices_equal_matmul_construction(scheme, cut):
 
 
 def test_full_hamiltonian_requires_drive_frequencies():
-    bs = beam_splitter_point()
+    bs = operating_point(Scheme.BEAM_SPLITTER)
     with pytest.raises(SchemeError):
         build_full_hamiltonian(bs["params"],
                                (DriveSpec(slot=1, rabi=1.0, detuning=-4.0),), CUT)
