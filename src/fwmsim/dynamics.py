@@ -11,11 +11,15 @@ them, and only the final and stored states are put back to full width with
 exact zeros elsewhere; when every sector is populated the solve is the full one.
 Time-dependent ones use a fourth-order Magnus integrator (two Gauss nodes
 plus the commutator term). Each Magnus step exp(Omega) = exp(-i G), with the
-hermitian generator G = i Omega, is applied to the state as a Taylor series
-summed to roundoff over ceil(||G||_1) pieces, from matrix-vector products
-alone (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488), so every step
-is unitary to roundoff. Scheme frames additionally factorize exactly through
-their static co-rotating frame. Every trajectory is traced in one place:
+hermitian generator G = i Omega, is summed by one small product from the
+Hamiltonian's fixed hermitian pieces and their commutators, all taken once
+per run, and the same weights bound ||G||_1 in advance. exp(-i G) is
+applied to the state as a Taylor series summed to roundoff over
+ceil(bound) pieces, from matrix-vector products alone (Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33 (2011) 488), so every step is unitary to roundoff;
+no step evaluates H(t) or a matrix norm. Scheme frames additionally
+factorize exactly through their static co-rotating frame. Every trajectory
+is traced in one place:
 states come in blocks of at most _STATE_BLOCK sample times, one state per
 row; each block's norms are taken, then a diagonal frame phase
 exp(+2 pi i h0 t) is applied if one is given, then the overlaps are taken,
@@ -172,22 +176,20 @@ def _static_trajectory(h, psi0, times, references, h0_diag, store_states):
                    states=None if traj.states is None else widen(traj.states))
 
 
-def _expm_action(gen: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """exp(-i G) psi for a hermitian generator G, without forming exp(-i G).
+def _expm_action(a: np.ndarray, pieces: int, psi: np.ndarray) -> np.ndarray:
+    """exp(-i G) psi for a hermitian generator G, without forming exp(-i G),
+    from ``a`` = -i G / ``pieces``, where ``pieces`` >= ||G||_1 up to
+    rounding: the Magnus step passes the ceiling of its a-priori bound on
+    ||G||_1, so no norm is taken here.
 
-    The step is split into s = ceil(||G||_1) pieces. Each piece sums the
-    Taylor series of exp(-i G / s) applied to the vector and stops at the
-    first term below the unit roundoff times the norm of the piece's input,
-    which the exact sum keeps (Al-Mohy & Higham, SIAM J. Sci. Comput. 33
-    (2011) 488). Since ||G / s||_2 <= ||G||_1 / s <= 1, the terms after it
-    are smaller still and the series stops within 19 terms; a NaN state
-    never passes the test and raises after _TAYLOR_TERMS terms.
+    Each of the ``pieces`` pieces sums the Taylor series of exp(a) applied to
+    the vector and stops at the first term below the unit roundoff times the
+    norm of the piece's input, which the exact sum keeps (Al-Mohy & Higham,
+    SIAM J. Sci. Comput. 33 (2011) 488). Since ||a||_2 <= ||G||_1 / pieces
+    <= 1, the terms after it are smaller still and the series stops within
+    19 terms; a NaN state never passes the test and raises after
+    _TAYLOR_TERMS terms.
     """
-    norm1 = float(np.linalg.norm(gen, 1))
-    if not math.isfinite(norm1):
-        raise IntegrationError("Magnus generator is not finite")
-    pieces = max(1, math.ceil(norm1))
-    a = (-1j / pieces) * gen
     for _ in range(pieces):
         tol = _ROUNDOFF_SQ * np.vdot(psi, psi).real
         term = psi
@@ -202,17 +204,81 @@ def _expm_action(gen: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return psi
 
 
-def _magnus_states(ham: Hamiltonian, psi0: np.ndarray, times: np.ndarray,
-                   substep: float):
-    """Magnus-4 states at ``times``, as blocks of one row each.
+def _magnus_generator(ham: Hamiltonian):
+    """The Magnus-4 step's generator of ``ham``, from matrices fixed for the run.
 
-    With A = -i 2 pi H at the Gauss nodes, Omega = dt/2 (A1 + A2) +
-    sqrt(3)/12 dt^2 [A2, A1] equals -i G for the hermitian generator
-    G = pi dt (H1 + H2) - i (sqrt(3)/3) pi^2 dt^2 (y^dag - y) with
-    y = H1 H2, because [H2, H1] = y^dag - y.
+    H(t) = sum_j f_j(t) B_j over the hermitian pieces of ``ham``: B_0 the
+    static part with f_0 = 1, and per drive P_k with cos(2 pi nu_k t) and,
+    when it exists, Q_k with sin(2 pi nu_k t). With A = -i 2 pi H at the
+    Gauss nodes t1, t2 of a step dt, Omega = dt/2 (A1 + A2) + sqrt(3)/12
+    dt^2 [A2, A1] equals -i G for the hermitian generator
+    G = pi dt (H1 + H2) - i (sqrt(3)/3) pi^2 dt^2 [H2, H1], where
+    H1 + H2 = sum_j (f_j(t1) + f_j(t2)) B_j and [H2, H1] = sum_{i<j}
+    (f_i(t2) f_j(t1) - f_j(t2) f_i(t1)) [B_i, B_j] (Blanes, Casas, Oteo &
+    Ros, Phys. Rep. 470 (2009) 151). The commutators and the 1-norm of every
+    matrix are taken here once; real pieces (the lab frame) stay real, and
+    complex ones are kept as their real and imaginary parts.
+
+    Returns ``generator(t0, dt) -> (a, pieces, bound)`` for the step from t0:
+    the bound sum_k |g_k| ||X_k||_1 >= ||G||_1 over the coefficients g_k of
+    G on the matrices X_k, ``pieces`` = max(1, ceil(bound)), and
+    a = -i G / pieces from one product of the matrices with the scaled
+    coefficients. A bound that is not finite (an overflowed commutator)
+    raises IntegrationError; a finite one bounds every entry of G.
     """
+    static, terms = ham._pieces
+    basis, weights = [static], []
+    for p, q, nu in terms:
+        basis.append(p)
+        weights.append((math.cos, 2.0 * math.pi * nu))
+        if q is not None:
+            basis.append(q)
+            weights.append((math.sin, 2.0 * math.pi * nu))
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    n = len(static)
+    mats = np.empty((len(basis) + len(pairs), n, n), dtype=static.dtype)
+    mats[:len(basis)] = basis
+    for x, (i, j) in zip(mats[len(basis):], pairs):
+        np.matmul(basis[i], basis[j], out=x)
+        x -= basis[j] @ basis[i]
+    norms = [float(np.abs(x).sum(axis=0).max()) for x in mats]
+    # -i G / pieces as an (n*n, 2) real array, its real and imaginary parts
+    # per entry, is rows.T @ coefs: the basis enters -i G with the imaginary
+    # coefficients -i g, the commutators with the real ones -g
+    rows = mats.reshape(len(mats), n * n)
+    place = [[0.0, 1.0]] * len(basis) + [[1.0, 0.0]] * len(pairs)
+    parts = 1
+    if np.iscomplexobj(rows):
+        rows = np.concatenate([rows.real, rows.imag])
+        place += [[-1.0, 0.0]] * len(basis) + [[0.0, 1.0]] * len(pairs)
+        parts = 2
+    place = np.array(place)
     c1 = 0.5 - math.sqrt(3.0) / 6.0
     c2 = 0.5 + math.sqrt(3.0) / 6.0
+
+    def generator(t0: float, dt: float):
+        t1, t2 = t0 + c1 * dt, t0 + c2 * dt
+        f1 = [1.0] + [trig(w * t1) for trig, w in weights]
+        f2 = [1.0] + [trig(w * t2) for trig, w in weights]
+        first = math.pi * dt
+        second = (math.sqrt(3.0) / 3.0) * first * first
+        g = [first * (x + y) for x, y in zip(f1, f2)] \
+            + [second * (f2[i] * f1[j] - f2[j] * f1[i]) for i, j in pairs]
+        bound = sum(abs(x) * y for x, y in zip(g, norms))
+        if not math.isfinite(bound):
+            raise IntegrationError("Magnus generator is not finite")
+        pieces = max(1, math.ceil(bound))
+        coefs = np.array([x * (-1.0 / pieces) for x in g] * parts)[:, None] * place
+        return (rows.T @ coefs).view(complex).reshape(n, n), pieces, bound
+
+    return generator
+
+
+def _magnus_states(ham: Hamiltonian, psi0: np.ndarray, times: np.ndarray,
+                   substep: float):
+    """Magnus-4 states at ``times``, as blocks of one row each: every step
+    applies exp(-i G) of :func:`_magnus_generator` by :func:`_expm_action`."""
+    generator = _magnus_generator(ham)
     psi = psi0.astype(complex).copy()
     t = float(times[0])
     yield psi[None, :]
@@ -220,15 +286,9 @@ def _magnus_states(ham: Hamiltonian, psi0: np.ndarray, times: np.ndarray,
         span = float(t_next) - t
         n_sub = max(1, int(math.ceil(span / substep)))
         dt = span / n_sub
-        first = math.pi * dt
-        second = 1j * (math.sqrt(3.0) / 3.0) * (math.pi * dt) ** 2
         for k in range(n_sub):
-            t0 = t + k * dt
-            h1 = ham.at(t0 + c1 * dt)
-            h2 = ham.at(t0 + c2 * dt)
-            y = h1 @ h2
-            gen = first * (h1 + h2) - second * (y.conj().T - y)
-            psi = _expm_action(gen, psi)
+            a, pieces, _ = generator(t + k * dt, dt)
+            psi = _expm_action(a, pieces, psi)
         t = float(t_next)
         yield psi[None, :]
 
@@ -248,7 +308,7 @@ def propagate(ham: Hamiltonian, psi0: np.ndarray, t_end: float, *,
     with h0; the norms are of psi(t). A zero or non-finite step, or more
     than MAX_SUBSTEPS steps, raise IntegrationError.
     """
-    if not np.abs(np.linalg.norm(psi0) - 1.0) <= 1e-9:  # also a NaN state
+    if not abs(math.sqrt(np.vdot(psi0, psi0).real) - 1.0) <= 1e-9:  # also a NaN state
         raise ValueError("initial state must be normalized")
     times = _sample_times(t_end, times, n_points)
 

@@ -9,8 +9,8 @@ exact for all scheme frames and for the driven lab Hamiltonian, and allows
 evaluation at arbitrary t without interpolation. Each oscillating pair is
 evaluated as cos(2 pi nu_k t) P_k + sin(2 pi nu_k t) Q_k with the hermitian
 pieces P_k = M_k + M_k^dag and Q_k = i (M_k - M_k^dag), built once per
-Hamiltonian; when all pieces are real (the lab frame), so is H(t), and the
-Magnus step's matrix product runs in real arithmetic.
+Hamiltonian; when all pieces are real (the lab frame), so is H(t), and so
+are the commutators the Magnus step takes of them once per run.
 """
 
 from __future__ import annotations
@@ -48,9 +48,10 @@ class Hamiltonian:
     def is_static(self) -> bool:
         return len(self.osc) == 0
 
-    @property
+    @cached_property
     def max_frequency(self) -> float:
-        """Largest frequency scale present (for step-size control)."""
+        """Largest frequency scale present (for step-size control), taken once
+        per Hamiltonian."""
         scale = float(np.max(np.abs(self.static))) if self.static.size else 0.0
         for m, nu in self.osc:
             scale = max(scale, abs(nu), float(np.max(np.abs(m))))

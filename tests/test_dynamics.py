@@ -164,9 +164,10 @@ for _name, _times in (("inf", [0.0, np.inf]), ("nan-inside", [0.0, np.nan, 1.0])
                                          1.0, times=t), ValueError)
 
 
-# 1e200 squared overflows in the Magnus commutator, so the generator is not finite
+# the commutator of the static part with the drive overflows (1e200 squared),
+# so the Magnus generator is not finite
 NON_FINITE_CASES["nan-generator-magnus"] = (
-    lambda: propagate(Hamiltonian(np.diag([0.0, 1e200]), ((0.1 * np.eye(2), 1.0),)),
+    lambda: propagate(Hamiltonian(np.diag([0.0, 1e200]), ((1e200 * np.eye(2, k=1), 1.0),)),
                       _PLUS, 1e-200, n_points=2), IntegrationError)
 
 
@@ -175,6 +176,20 @@ def test_non_finite_inputs_raise(case):
     call, error = NON_FINITE_CASES[case]
     with np.errstate(all="ignore"), pytest.raises(error):
         call()
+
+
+def test_magnus_commuting_pieces_with_huge_entries_stay_finite():
+    # diag(0, 1e200) commutes with the 0.1 I drive: their commutator is
+    # exactly 0, so the generator is finite although 1e200 squared is not,
+    # and the evolution is the exact diagonal one
+    t_end = 1e-200
+    traj = propagate(Hamiltonian(np.diag([0.0, 1e200]), ((0.1 * np.eye(2), 1.0),)),
+                     _PLUS, t_end, n_points=2)
+    assert np.all(np.isfinite(traj.final_state))
+    assert traj.norm_drift <= 1e-12
+    drive = 0.2 * math.sin(2.0 * math.pi * t_end) / (2.0 * math.pi)
+    exact = np.exp(-2j * np.pi * (np.array([0.0, 1e200]) * t_end + drive)) * _PLUS
+    assert np.max(np.abs(traj.final_state - exact)) <= 1e-12
 
 
 @pytest.mark.parametrize("entry", [1e308, 1e150], ids=["step-overflow", "too-many-steps"])
@@ -743,7 +758,8 @@ def test_expm_action_matches_pade(dim, seed, norm1):
     gen = _random_hermitian(rng, dim)
     gen *= norm1 / np.linalg.norm(gen, 1)
     psi = _random_state(rng, dim)
-    got = dynamics._expm_action(gen, psi)
+    pieces = max(1, math.ceil(norm1))
+    got = dynamics._expm_action((-1j / pieces) * gen, pieces, psi)
     want = expm(-1j * gen) @ psi
     assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, norm1)
 
@@ -807,13 +823,86 @@ def test_dynamics_does_not_use_scipy_expm():
     assert "expm" not in vars(dynamics)
 
 
+def _reference_generator(ham, t0, dt):
+    """The Magnus-4 generator G = pi dt (H1 + H2) - i (sqrt(3)/3) (pi dt)^2
+    (y^dag - y), y = H1 H2, from H(t) at the Gauss nodes."""
+    h1 = ham.at(t0 + (0.5 - math.sqrt(3.0) / 6.0) * dt)
+    h2 = ham.at(t0 + (0.5 + math.sqrt(3.0) / 6.0) * dt)
+    y = h1 @ h2
+    return math.pi * dt * (h1 + h2) \
+        - 1j * (math.sqrt(3.0) / 3.0) * (math.pi * dt) ** 2 * (y.conj().T - y)
+
+
+_DRIVEN = (Scheme.BEAM_SPLITTER, Scheme.TWO_MODE_SQUEEZE, Scheme.SINGLE_MODE_SQUEEZE)
+
+
+def _generator_case(scheme, cut, lab):
+    """The lab Hamiltonian (real pieces) or the scheme frame's (complex
+    pieces, with Q_k) of a driven preset."""
+    pt = operating_point(scheme)
+    cutoffs = FockCutoffs(cut, cut)
+    frame, _ = build_scheme_frame(pt["params"], pt["scheme"], pt["drives"], cutoffs,
+                                  detunings=pt["detunings"])
+    if lab:
+        return build_full_hamiltonian(pt["params"], lab_drives(frame), cutoffs)
+    return frame.hamiltonian()
+
+
+_GENERATOR_CASES = [(scheme, cut, True) for scheme in _DRIVEN for cut in (2, 3, 4)] \
+    + [(scheme, 2, False) for scheme in _DRIVEN]
+
+
+@pytest.mark.parametrize("scheme, cut, lab", _GENERATOR_CASES,
+                         ids=[f"{'lab' if lab else 'frame'}-{scheme.value}-{cut}"
+                              for scheme, cut, lab in _GENERATOR_CASES])
+def test_magnus_generator_from_fixed_pieces_matches_direct(scheme, cut, lab):
+    # the generator summed from the pieces and their commutators is the one
+    # built from H(t) at the Gauss nodes, and its a-priori bound is >= ||G||_1
+    ham = _generator_case(scheme, cut, lab)
+    static, terms = ham._pieces
+    assert terms and np.iscomplexobj(static) == (not lab)
+    assert all((q is None) == lab for _, q, _ in terms)
+    generator = dynamics._magnus_generator(ham)
+    dt = 1.0 / (STEP_FREQ_FACTOR * ham.max_frequency)
+    for t0 in (0.0, 0.0123, 0.37, 41.5):
+        want = _reference_generator(ham, t0, dt)
+        a, pieces, bound = generator(t0, dt)
+        norm1 = np.linalg.norm(want, 1)
+        assert pieces == max(1, math.ceil(bound))
+        assert np.max(np.abs(1j * pieces * a - want)) <= 1e-15 * norm1
+        assert bound >= norm1 * (1.0 - 8 * np.finfo(float).eps)
+
+
+def test_magnus_step_with_several_pieces_matches_pade():
+    # dense hermitian pieces with unit-modulus entries: at the default step
+    # of 1/50 the bound asks for more than one Taylor piece
+    rng = np.random.RandomState(7)
+    dim = 16
+    upper = np.triu(np.exp(2j * np.pi * rng.rand(dim, dim)), 1)
+    static = upper + upper.conj().T + np.diag(rng.choice([-1.0, 1.0], dim))
+    ham = Hamiltonian(static, ((np.exp(2j * np.pi * rng.rand(dim, dim)), 0.5),))
+    dt = 1.0 / (STEP_FREQ_FACTOR * ham.max_frequency)
+    _, pieces, bound = dynamics._magnus_generator(ham)(0.0, dt)
+    assert pieces >= 2
+    assert bound >= np.linalg.norm(_reference_generator(ham, 0.0, dt), 1)
+    psi0 = _random_state(rng, dim)
+    one = propagate(ham, psi0, dt, times=np.array([0.0, dt]))
+    assert np.max(np.abs(one.final_state - _pade_step(ham, psi0, 0.0, dt))) <= 1e-12
+
+
 def test_magnus_propagation_does_not_use_eigh(monkeypatch):
+    # nor H(t) or a matrix norm: each step's generator and its bound come
+    # from the pieces and norms fixed for the run
     ham, psi0 = _lab_setup(Scheme.BEAM_SPLITTER)
 
-    def no_eigh(*args, **kwargs):
-        raise AssertionError("the Magnus step called np.linalg.eigh")
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"the Magnus step called {name}")
+        return call
 
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden("np.linalg.eigh"))
+    monkeypatch.setattr(np.linalg, "norm", forbidden("np.linalg.norm"))
+    monkeypatch.setattr(Hamiltonian, "at", forbidden("Hamiltonian.at"))
     traj = propagate(ham, psi0, 0.001, n_points=3)
     assert traj.norm_drift <= 1e-12
 
