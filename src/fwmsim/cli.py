@@ -126,7 +126,7 @@ def cmd_run(cfg: ResolvedConfig, args) -> int:
     if duration is None:
         duration = ep.gate_time
         if not duration <= MAX_ABS:  # also an infinite gate time, at chi = 0
-            raise ConfigError("simulation.duration_ns", f"the gate time {duration:g} ns "
+            raise ConfigError("simulation.duration_ns", f"the gate time {duration!r} ns "
                               f"is beyond {MAX_ABS:g} ns; give a duration")
     points = cfg.simulation["points"]
     times = np.array([0.0]) if duration == 0 else np.linspace(0.0, duration, points)
@@ -137,7 +137,7 @@ def cmd_run(cfg: ResolvedConfig, args) -> int:
     else:
         ham = build_full_hamiltonian(cfg.params, lab_drives(frame), cfg.cutoffs)
         if not ham.max_frequency <= MAX_ABS:  # it sets the Magnus step
-            raise IntegrationError(f"lab frequency scale {ham.max_frequency:.4g} GHz is "
+            raise IntegrationError(f"lab frequency scale {ham.max_frequency!r} GHz is "
                                    f"beyond {MAX_ABS:g} GHz")
         traj = propagate(ham, psi0, duration, times=times, references=refs,
                          h0_diag=frame_h0_diagonal(frame))

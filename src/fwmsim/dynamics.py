@@ -3,12 +3,11 @@ dressed-energy oracle that cross-checks every closed-form effective coupling
 against exact diagonalization.
 
 Propagation solves d psi / dt = -i 2 pi H(t) psi with H in GHz and t in ns.
-Static Hamiltonians are propagated exactly through their eigendecomposition,
-restricted to the states their nonzero pattern links to the initial state
-(the symmetry sectors it populates): the Hamiltonian, the state, the
-references and the frame phase are cut to those once, one ``eigh`` solves
-them, and only the final and stored states are put back to full width with
-exact zeros elsewhere; when every sector is populated the solve is the full one.
+Static Hamiltonians are propagated exactly by one ``eigh`` on the union of
+the invariant sectors that hold the initial state (:func:`sectors`, the
+sector rule the oracle and the fidelity search share): the Hamiltonian,
+the state, the references and the frame phase are cut to it once, and the
+final and stored states are put back to full width, exactly 0 elsewhere.
 Time-dependent ones use a fourth-order Magnus integrator (two Gauss nodes
 plus the commutator term). Each Magnus step exp(Omega) = exp(-i G), with the
 hermitian generator G = i Omega, is summed by one small product from the
@@ -129,17 +128,23 @@ def _trajectory(times, blocks, references, h0_diag, store_states):
                       states=np.concatenate(kept) if store_states else None)
 
 
-def reachable(h: np.ndarray, psi0: np.ndarray) -> np.ndarray:
-    """Sorted basis indices that the nonzero pattern of ``h`` links to the
-    support of ``psi0``: the symmetry sectors the state populates. A NaN
-    entry counts as nonzero."""
-    links = h != 0
-    mask = psi0 != 0
-    while True:
-        grown = mask | links[mask].any(axis=0)
-        if np.array_equal(grown, mask):
-            return np.flatnonzero(mask)
-        mask = grown
+def sectors(h: np.ndarray, states) -> list:
+    """The invariant sectors of ``h`` holding any of the basis indices
+    ``states``, as sorted index arrays in the order of their first state in
+    ``states``: components of the nonzero pattern of ``h``, taken as
+    undirected (a NaN entry is nonzero). One pass labels them all: each
+    state takes the least label among its links, then that label's label,
+    until none changes (Shiloach & Vishkin, J. Algorithms 3 (1982) 57)."""
+    nonzero = h != 0
+    rows, cols = np.nonzero(nonzero | nonzero.T | np.eye(len(h), dtype=bool))
+    starts = np.searchsorted(rows, np.arange(len(h)))  # every row links itself
+    labels, low = None, np.arange(len(h))  # a label is a state of the same sector
+    while not np.array_equal(low, labels):
+        labels = low
+        low = np.minimum.reduceat(labels[cols], starts)
+        low = low[low]
+    held = dict.fromkeys(labels[np.asarray(states, dtype=int)].tolist())
+    return [np.flatnonzero(labels == label) for label in held]
 
 
 def evolve_static(h: np.ndarray, psi0: np.ndarray, times: np.ndarray):
@@ -158,11 +163,12 @@ def evolve_static(h: np.ndarray, psi0: np.ndarray, times: np.ndarray):
 
 
 def _static_trajectory(h, psi0, times, references, h0_diag, store_states):
-    """The trajectory of a static ``h`` solved on the states
-    ``reachable(h, psi0)`` only: ``h``, ``psi0``, the references and
-    ``h0_diag`` are cut to them once, and the final and kept states are put
-    back to full width, exactly 0 elsewhere."""
-    idx = reachable(h, psi0)
+    """The trajectory of a static ``h`` by one ``eigh`` on the union of the
+    :func:`sectors` holding the support of ``psi0``: ``h``, ``psi0``, the
+    references and ``h0_diag`` are cut to it once, and the final and kept
+    states are put back to full width, exactly 0 elsewhere."""
+    idx = np.sort(np.concatenate([np.empty(0, dtype=int),
+                                  *sectors(h, np.flatnonzero(psi0))]))
     refs = {label: ref[idx] for label, ref in (references or {}).items()}
     traj = _trajectory(times, evolve_static(h[np.ix_(idx, idx)], psi0[idx], times), refs,
                        None if h0_diag is None else h0_diag[idx], store_states)
@@ -368,7 +374,7 @@ def gate_fidelity(psi: np.ndarray, target: np.ndarray, *, cutoffs: FockCutoffs,
 def effective_hamiltonian(h: np.ndarray, states: np.ndarray | list) -> np.ndarray:
     """All-order effective Hamiltonian of ``h`` on the basis indices ``states``.
 
-    Per sector of ``h`` (:func:`reachable`) holding m of ``states``: one
+    Per sector of ``h`` (:func:`sectors`) holding m of ``states``: one
     ``eigh``, T the overlap block of the m eigenvectors with most weight on
     them, and Q the unitary polar factor of T give H_eff = Q diag(w) Q^dag,
     the Schrieffer-Wolff effective Hamiltonian to all orders (des Cloizeaux,
@@ -378,11 +384,8 @@ def effective_hamiltonian(h: np.ndarray, states: np.ndarray | list) -> np.ndarra
     """
     states = np.asarray(states)
     h_eff = np.zeros((states.size, states.size), dtype=complex)
-    todo = np.ones(states.size, dtype=bool)
-    while todo.any():
-        idx = reachable(h, np.arange(len(h)) == states[np.argmax(todo)])
+    for idx in sectors(h, states):
         mine = np.flatnonzero(np.isin(states, idx))
-        todo[mine] = False
         w, u = np.linalg.eigh(h[np.ix_(idx, idx)])
         overlap = u[np.searchsorted(idx, states[mine])]  # rows: the states
         cols = np.argsort(np.sum(np.abs(overlap) ** 2, axis=0))[-mine.size:]

@@ -14,9 +14,9 @@ makes the full-model fidelity meaningful: the lab Hamiltonian carries real
 second-order shifts that the closed forms do not, and they would otherwise
 be misread as gate error.
 
-Each candidate costs one real ``eigh`` per parity sector (the drive-free H
-is real and splits into the states reachable from |a;00> and the rest,
-two equal halves when the modes are coupled) and one scan.
+Each candidate costs one real ``eigh`` per parity sector that holds a
+computational state (the drive-free H is real, and ``dynamics.sectors``
+splits it into two equal halves when the modes are coupled) and one scan.
 The scan's phases exp(-2 pi i w t) come from a factorized table: each time
 is a block start plus an offset, about sqrt(time_points) of each, and every
 phase is reduced modulo one cycle without error before its cos and sin.
@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import CircuitParams
-from .dynamics import computational_indices, reachable
+from .dynamics import computational_indices, sectors
 from .errors import OptimizationError, TrackingError
 from .operators import FockCutoffs, product_state
 from .presets import operating_point
@@ -66,21 +66,18 @@ class OptimizationResult:
     history: tuple              # ((e_j1, e_j2, b0), fidelity, gate_time), successes only
 
 
-def _sector_eigh(h: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(w, u) of the real symmetric ``h`` from one ``eigh`` per invariant
-    sector: the basis states :func:`reachable` from basis state ``seed`` and
-    the rest. Each column of u is exactly 0 outside its sector."""
-    n = len(h)
-    inside = np.zeros(n, dtype=bool)
-    inside[reachable(h, np.arange(n) == seed)] = True
-    sectors = (np.flatnonzero(inside), np.flatnonzero(~inside))
-    solved = [np.linalg.eigh(h[np.ix_(s, s)]) for s in sectors]
-    w, u = np.empty(n), np.zeros((n, n))
+def _sector_eigh(h: np.ndarray, states) -> tuple[np.ndarray, np.ndarray]:
+    """(w, u) of the real symmetric ``h`` on the :func:`sectors` that hold
+    the basis indices ``states``, one ``eigh`` per sector, in their order.
+    Each column of u is exactly 0 outside its sector."""
+    parts = sectors(h, states)
+    size = sum(s.size for s in parts)
+    w, u = np.empty(size), np.zeros((len(h), size))
     start = 0
-    for s, (ws, us) in zip(sectors, solved):
-        w[start:start + s.size] = ws
-        u[s, start:start + s.size] = us
-        start += s.size
+    for s in parts:
+        stop = start + s.size
+        w[start:stop], u[s, start:stop] = np.linalg.eigh(h[np.ix_(s, s)])
+        start = stop
     return w, u
 
 
@@ -157,7 +154,7 @@ def controlled_phase_fidelity(params: CircuitParams, cutoffs: FockCutoffs, *,
         raise ValueError("time_points must be at least 1")
     comp = computational_indices(cutoffs, "a")  # (0,0), (0,1), (1,0), (1,1)
     # the drive-free H is real
-    w, u = _sector_eigh(build_full_hamiltonian(params, (), cutoffs).static.real, comp[0])
+    w, u = _sector_eigh(build_full_hamiltonian(params, (), cutoffs).static.real, comp)
     weights = np.abs(u[comp]) ** 2
     cols = np.argmax(weights, axis=1)
     found = weights[range(4), cols] >= 0.5  # False for a NaN weight too

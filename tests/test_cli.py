@@ -1,10 +1,12 @@
 """CLI contract: exit codes, file formats, determinism, reference numbers."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -12,8 +14,9 @@ import numpy as np
 import pytest
 
 import fwmsim
+from fwmsim import cli
 from fwmsim.cli import main
-from fwmsim.config import MAX_POINTS, resolve
+from fwmsim.config import MAX_ABS, MAX_POINTS, resolve
 from fwmsim.errors import ConfigError
 from fwmsim.operators import FockCutoffs
 from fwmsim.presets import config_document
@@ -684,6 +687,42 @@ def test_infinite_default_duration_exits_2(tmp_path, frame):
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "trajectory.csv").exists()
 
+
+
+def _bound_value(pattern, err):
+    """The number a bound message prints, checked to read back exactly."""
+    match = re.search(pattern, err)
+    assert match, err
+    return float(match.group(1))
+
+
+def test_gate_time_bound_message_shows_the_value_beyond_it(ck_config, tmp_path, capsys,
+                                                            monkeypatch):
+    # a default duration 1e-9 beyond MAX_ABS ns, which six digits round onto it
+    path, _ = ck_config
+    beyond = MAX_ABS * (1.0 + 1e-9)
+    real = cli.effective_params
+    monkeypatch.setattr(cli, "effective_params", lambda frame: dataclasses.replace(
+        real(frame), chi=0.5 / beyond))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    shown = _bound_value(r"the gate time (\S+) ns is beyond 1e\+06 ns", err)
+    assert shown == 1.0 / (2.0 * (0.5 / beyond)) and shown > MAX_ABS
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_lab_frequency_bound_message_shows_the_value_beyond_it(tmp_path, capsys):
+    # E_J1 = 1e6 GHz puts the bm lab frequency scale just past MAX_ABS GHz
+    cfg = config_document(Scheme.BEAM_SPLITTER)
+    cfg["circuit"]["e_j1"] = 1e6
+    cfg["simulation"] = {"frame": "lab", "duration_ns": 0.001, "points": 2}
+    p = tmp_path / "bm.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    shown = _bound_value(r"lab frequency scale (\S+) GHz is beyond 1e\+06 GHz", err)
+    assert MAX_ABS < shown < MAX_ABS * (1.0 + 1e-5)
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_readme_key_table_lists_every_config_field():

@@ -21,8 +21,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 import fwmsim
-from fwmsim import dynamics, schemes
+from fwmsim import cli, dynamics, schemes
 from fwmsim.cli import _reference_states, main
+from fwmsim.config import resolve
 from fwmsim.dynamics import (STEP_FREQ_FACTOR, dressed_energy_oracle, effective_hamiltonian,
                              gate_fidelity, propagate, propagate_frame)
 from fwmsim.effective import effective_params
@@ -371,7 +372,7 @@ def test_propagate_h0_diag_bytes_equal_per_time_loop(kind):
         idx = np.arange(psi0.size)
         inner = propagate(ham, psi0, times[-1], times=times, store_states=True).states
     else:
-        idx = dynamics.reachable(ham.static, psi0)
+        idx = np.sort(np.concatenate(dynamics.sectors(ham.static, np.flatnonzero(psi0))))
         assert idx.size < psi0.size
         inner = _loop_states(ham.static[np.ix_(idx, idx)], psi0[idx], times)
     rotated = np.array([np.exp(2j * np.pi * h0[idx] * t) * psi
@@ -401,20 +402,30 @@ def _sparsity_patterns(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(case=_sparsity_patterns())
-def test_reachable_is_the_union_of_the_touched_components(case):
+@example(case=(3, [(0, 1)], []))                 # an empty support
+@example(case=(5, [(0, 3), (1, 4)], [4, 2, 3]))  # a NaN link joins 0 and 3
+def test_sectors_are_the_touched_components_in_order(case):
     dim, links, support = case
     h = np.zeros((dim, dim), dtype=complex)
-    for i, j in links:
-        h[i, j] = h[j, i] = 0.5
-    psi0 = np.zeros(dim, dtype=complex)
-    psi0[support] = 1.0
-    idx = dynamics.reachable(h, psi0)
-    inside = np.zeros(dim, dtype=bool)
-    inside[idx] = True
-    assert np.all(np.diff(idx) > 0) and inside[support].all()
-    assert not np.any(h[np.ix_(inside, ~inside)])   # closed under h
+    for k, (i, j) in enumerate(links):
+        h[i, j] = h[j, i] = np.nan if k == 0 else 0.5  # the first link is NaN
+    # unsorted, with repeats: the sectors come in the order of their first state
+    states = support[::-1] + support
+    found = dynamics.sectors(h, states)
+    # the pattern is taken as undirected: one triangle of it links both ways
+    upper = dynamics.sectors(np.triu(h), states)
+    assert len(upper) == len(found) and all(map(np.array_equal, upper, found))
     _, labels = connected_components(csr_matrix(h != 0), directed=False)
-    assert np.array_equal(idx, np.flatnonzero(np.isin(labels, labels[support])))
+    first = list(dict.fromkeys(labels[states].tolist()))
+    assert [labels[s[0]] for s in found] == first
+    for s in found:
+        assert np.all(np.diff(s) > 0)
+        assert np.array_equal(s, np.flatnonzero(labels == labels[s[0]]))
+        inside = np.isin(np.arange(dim), s)
+        assert not np.any(h[np.ix_(inside, ~inside)])   # closed under h
+    union = np.concatenate([np.empty(0, dtype=int), *found])
+    assert np.unique(union).size == union.size          # disjoint
+    assert np.array_equal(np.sort(union), np.flatnonzero(np.isin(labels, labels[support])))
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 4])
@@ -448,6 +459,42 @@ def test_propagate_frame_rejects_zero_or_nan_state(fill):
     psi0 = np.full(_FRAME_CUT.dim, fill, dtype=complex)
     with np.errstate(all="ignore"), pytest.raises(IntegrationError, match="norm drift"):
         propagate_frame(_ck_frame(), psi0, 1.0, n_points=3)
+
+
+def _record_eigh(monkeypatch):
+    """A list that collects a copy of every ``np.linalg.eigh`` argument."""
+    seen, eigh = [], np.linalg.eigh
+
+    def record(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", record)
+    return seen
+
+
+def _held_components(h, states):
+    """The pattern components of ``h`` that hold ``states``, as masks in the
+    order of their first state."""
+    _, labels = connected_components(csr_matrix(h != 0), directed=False)
+    return [labels == lab for lab in dict.fromkeys(labels[states].tolist())]
+
+
+def test_interaction_run_solves_the_union_of_its_sectors_once(tmp_path, monkeypatch):
+    # the static run keeps one eigh over the union of the populated sectors;
+    # one eigh per sector moves the run-interaction digests at roundoff
+    doc = dict(config_document(Scheme.CROSS_KERR), cutoffs={"n_max1": 3, "n_max2": 3})
+    path = tmp_path / "ck.json"
+    path.write_text(json.dumps(doc))
+    frame, _ = cli._frame(resolve(doc))
+    psi0, _ = _reference_states(frame, effective_params(frame))
+    h, _ = schemes.static_frame(frame)
+    union = np.logical_or.reduce(_held_components(h, np.flatnonzero(psi0)))
+    seen = _record_eigh(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert union.sum() == 9
+    assert [a.tobytes() for a in seen] == [h[np.ix_(union, union)].tobytes()]
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +589,18 @@ def test_full_hamiltonian_frame_equivalence_gauge_invariant():
 
 # ---------------------------------------------------------------------------
 # the all-order effective Hamiltonian and the oracle
+
+def test_oracle_solves_each_held_sector_once(monkeypatch):
+    # each computational state of the ck frame is in a sector of its own
+    frame = _ck_frame()
+    work = dataclasses.replace(frame, cutoffs=frame.spec.oracle_cutoffs)
+    h, _ = schemes.static_frame(work)
+    held = _held_components(h, dynamics.computational_indices(work.cutoffs, work.ground_level))
+    seen = _record_eigh(monkeypatch)
+    dressed_energy_oracle(frame)
+    assert len(held) == 4
+    assert [a.tobytes() for a in seen] == [h[np.ix_(m, m)].tobytes() for m in held]
+
 
 def test_effective_hamiltonian_two_level_repulsion():
     h = np.array([[0.0, 0.4], [0.4, 5.0]])

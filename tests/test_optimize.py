@@ -7,8 +7,10 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-from fwmsim.dynamics import computational_indices, reachable
+from fwmsim.dynamics import computational_indices, sectors
 from fwmsim.errors import OptimizationError, TrackingError
 from fwmsim.operators import FockCutoffs, basis_state, product_state
 from fwmsim.optimize import (DEFAULT_TIME_POINTS, TIME_WINDOW, _resonance_seeded, _scan,
@@ -110,7 +112,7 @@ def _per_time_scan(params, cutoffs, gate_time_bounds=(60.0, 120.0),
     state and the target vector are rebuilt at every time from the same
     per-sector (w, u) as the search, so only the scan differs."""
     comp = computational_indices(cutoffs, "a")
-    w, u = _sector_eigh(build_full_hamiltonian(params, (), cutoffs).static.real, comp[0])
+    w, u = _sector_eigh(build_full_hamiltonian(params, (), cutoffs).static.real, comp)
     energies = np.empty(4)
     for k, idx in enumerate(comp):
         weights = np.abs(u[idx, :]) ** 2
@@ -215,7 +217,7 @@ def _scan_inputs(params, cutoffs):
     """(w, rows, cols) of the search's scan: the per-sector eigensystem, the
     computational rows of u times c0 and the branch columns."""
     comp = computational_indices(cutoffs, "a")
-    w, u = _sector_eigh(build_full_hamiltonian(params, (), cutoffs).static.real, comp[0])
+    w, u = _sector_eigh(build_full_hamiltonian(params, (), cutoffs).static.real, comp)
     cols = np.argmax(np.abs(u[comp]) ** 2, axis=1)
     c0 = u.T @ product_state(cutoffs, "a", [1, 1], [1, 1]).real
     return w, u[comp] * c0, cols
@@ -263,21 +265,49 @@ def test_scan_matches_40_digit_reference():
 @pytest.mark.parametrize("coupled", [True, False])
 def test_sector_eigh_splits_exactly(cut, coupled):
     p = cross_kerr_point()["params"]
-    if not coupled:  # unequal sectors: |a;00> reaches only the uncoupled ladder
+    if not coupled:  # each computational state in its own uncoupled ladder
         p = dataclasses.replace(p, g1=0.0, g2=0.0)
     h = build_full_hamiltonian(p, (), cut).static
     assert not h.imag.any()
-    seed = computational_indices(cut, "a")[0]
-    w, u = _sector_eigh(h.real, seed)
-    inside = np.isin(np.arange(cut.dim), reachable(h, np.arange(cut.dim) == seed))
-    assert (inside.sum() == cut.dim // 2) == coupled
-    # every eigenvector is exactly 0 outside its sector
-    mine = np.any(u[inside] != 0, axis=0)
-    assert mine.sum() == inside.sum()
-    assert not u[np.ix_(~inside, mine)].any() and not u[np.ix_(inside, ~mine)].any()
-    assert np.abs(np.sort(w) - np.linalg.eigvalsh(h)).max() <= 1e-12
-    assert np.abs(u.T @ u - np.eye(cut.dim)).max() <= 1e-13
-    assert np.abs((u * w) @ u.T - h.real).max() <= 1e-12
+    comp = computational_indices(cut, "a")
+    w, u = _sector_eigh(h.real, comp)
+    parts = sectors(h, comp)
+    # coupled: the two parity halves; uncoupled: only the sectors that hold
+    # the computational states are solved, so u has fewer columns than rows
+    assert len(parts) == (2 if coupled else 4)
+    assert (sum(s.size for s in parts) == cut.dim) == coupled
+    assert u.shape == (cut.dim, sum(s.size for s in parts))
+    start = 0
+    for s in parts:
+        inside = np.isin(np.arange(cut.dim), s)
+        cols = slice(start, start + s.size)
+        # every eigenvector is exactly 0 outside its sector
+        assert not u[~inside, cols].any()
+        assert np.abs(w[cols] - np.linalg.eigvalsh(h.real[np.ix_(s, s)])).max() <= 1e-12
+        start += s.size
+    held = np.isin(np.arange(cut.dim), np.concatenate(parts))
+    assert np.abs(u.T @ u - np.eye(u.shape[1])).max() <= 1e-13
+    assert np.abs((u * w) @ u.T - np.where(np.outer(held, held), h.real, 0.0)).max() <= 1e-12
+    if coupled:
+        assert np.abs(np.sort(w) - np.linalg.eigvalsh(h)).max() <= 1e-12
+
+
+def test_search_solves_the_two_parity_sectors_with_todays_blocks(monkeypatch):
+    # the sector of |a;00> and its complement, as components of the pattern
+    p = cross_kerr_point()["params"]
+    h = build_full_hamiltonian(p, (), CUT).static.real
+    _, labels = connected_components(csr_matrix(h != 0), directed=False)
+    seed = labels == labels[computational_indices(CUT, "a")[0]]
+    seen, eigh = [], np.linalg.eigh
+
+    def record(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", record)
+    assert controlled_phase_fidelity(p, CUT) is not None
+    assert [(a.dtype, a.shape) for a in seen] == [(np.float64, (32, 32))] * 2
+    assert [a.tobytes() for a in seen] == [h[np.ix_(m, m)].tobytes() for m in (seed, ~seed)]
 
 
 def _branch_errors(w, u, comp, ref):
@@ -302,7 +332,7 @@ def test_sector_branch_energies_against_40_digit_eigsy():
     with mpmath.workdps(40):
         ref = list(mpmath.eigsy(mpmath.matrix(h.real.tolist()), eigvals_only=True))
         full = _branch_errors(*np.linalg.eigh(h), comp, ref)
-        sector = _branch_errors(*_sector_eigh(h.real, comp[0]), comp, ref)
+        sector = _branch_errors(*_sector_eigh(h.real, comp), comp, ref)
     assert max(sector) <= 1e-13 and max(full) <= 1e-13
 
 
