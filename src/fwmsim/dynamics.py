@@ -33,6 +33,7 @@ oracle's dressed states are rotated onto their bare labels directly, one
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -54,6 +55,7 @@ MAX_SUBSTEPS = 2.0 ** 53      # the most Magnus steps a float64 counts exactly
 _TAYLOR_TERMS = 30             # cap on the Taylor terms of one exp(-i G / s) piece
 _ROUNDOFF_SQ = (2.0 ** -53) ** 2  # squared unit roundoff of float64
 _STATE_BLOCK = 128             # sample times per block of states (bounds memory)
+_PATTERN_MEMO = 32             # sparsity patterns whose sectors are kept
 
 
 @dataclass(frozen=True)
@@ -128,23 +130,40 @@ def _trajectory(times, blocks, references, h0_diag, store_states):
                       states=np.concatenate(kept) if store_states else None)
 
 
-def sectors(h: np.ndarray, states) -> list:
-    """The invariant sectors of ``h`` holding any of the basis indices
-    ``states``, as sorted index arrays in the order of their first state in
-    ``states``: components of the nonzero pattern of ``h``, taken as
-    undirected (a NaN entry is nonzero). One pass labels them all: each
-    state takes the least label among its links, then that label's label,
-    until none changes (Shiloach & Vishkin, J. Algorithms 3 (1982) 57)."""
-    nonzero = h != 0
-    rows, cols = np.nonzero(nonzero | nonzero.T | np.eye(len(h), dtype=bool))
-    starts = np.searchsorted(rows, np.arange(len(h)))  # every row links itself
-    labels, low = None, np.arange(len(h))  # a label is a state of the same sector
+@functools.lru_cache(maxsize=_PATTERN_MEMO)
+def _pattern_sectors(dim: int, packed: bytes) -> tuple[np.ndarray, dict]:
+    """(labels, parts) of the dim x dim nonzero pattern ``packed`` by
+    ``np.packbits``: labels[i] is the least state of the sector of state i,
+    and parts maps each label to its sector's sorted states. Read-only."""
+    nonzero = np.unpackbits(np.frombuffer(packed, dtype=np.uint8),
+                            count=dim * dim).reshape(dim, dim).view(bool)
+    rows, cols = np.nonzero(nonzero | nonzero.T | np.eye(dim, dtype=bool))
+    starts = np.searchsorted(rows, np.arange(dim))  # every row links itself
+    labels, low = None, np.arange(dim)  # a label is a state of the same sector
     while not np.array_equal(low, labels):
         labels = low
         low = np.minimum.reduceat(labels[cols], starts)
         low = low[low]
+    order = np.argsort(labels, kind="stable")  # each sector's states stay sorted
+    labels.setflags(write=False)
+    order.setflags(write=False)
+    parts = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return labels, {int(labels[part[0]]): part for part in parts}
+
+
+def sectors(h: np.ndarray, states) -> list:
+    """The invariant sectors of ``h`` holding any of the basis indices
+    ``states``, as sorted read-only index arrays in the order of their first
+    state in ``states``: components of the nonzero pattern of ``h``, taken
+    as undirected (a NaN entry is nonzero). One pass labels them all: each
+    state takes the least label among its links, then that label's label,
+    until none changes (Shiloach & Vishkin, J. Algorithms 3 (1982) 57).
+    The labelling is kept per pattern, for the last _PATTERN_MEMO patterns
+    (keyed on the dimension and the packed pattern), so a search or a secant
+    loop whose candidates share one pattern labels it once."""
+    labels, parts = _pattern_sectors(len(h), np.packbits(h != 0).tobytes())
     held = dict.fromkeys(labels[np.asarray(states, dtype=int)].tolist())
-    return [np.flatnonzero(labels == label) for label in held]
+    return [parts[label] for label in held]
 
 
 def evolve_static(h: np.ndarray, psi0: np.ndarray, times: np.ndarray):
@@ -152,9 +171,10 @@ def evolve_static(h: np.ndarray, psi0: np.ndarray, times: np.ndarray):
 
     Yields the states at ``times`` in blocks of at most _STATE_BLOCK rows,
     one state per row, each row the product ``u @ (exp(-2 pi i w t) * c0)``
-    of one ``eigh`` of ``h``.
+    of one complex ``eigh`` of ``h`` (a real ``h``, the drive-free lab
+    model, is promoted first).
     """
-    w, u = np.linalg.eigh(h)
+    w, u = np.linalg.eigh(h.astype(complex, copy=False))
     c0 = u.conj().T @ psi0
     phase = -2j * np.pi * w
     for k in range(0, times.size, _STATE_BLOCK):

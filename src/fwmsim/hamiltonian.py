@@ -4,7 +4,9 @@ Every Hamiltonian in this package is a finite sum
 
     H(t) = H_static + sum_k [ M_k exp(+i 2 pi nu_k t) + M_k^dag exp(-i 2 pi nu_k t) ]
 
-with constant matrices and frequencies in GHz (time in ns). This form is
+with constant matrices and frequencies in GHz (time in ns). H_static is a
+real float64 array for the full lab model and complex for the scheme
+frames; the M_k are complex. This form is
 exact for all scheme frames and for the driven lab Hamiltonian, and allows
 evaluation at arbitrary t without interpolation. Each oscillating pair is
 evaluated as cos(2 pi nu_k t) P_k + sin(2 pi nu_k t) Q_k with the hermitian

@@ -11,8 +11,10 @@ it as array expressions. The forward layout lives here too:
 :func:`level_product` is the one assembler of a (4x4 level matrix) x
 (Fock-space piece) product, and every full-space operator of the package is
 built from it and the two cached Fock ladders of :func:`fock_ladders`.
-States are 1-D complex ``numpy`` arrays, operators are square complex
-arrays. All functions here are pure; nothing mutates its inputs.
+States are 1-D complex ``numpy`` arrays, and operators are square arrays:
+complex, except the real float64 static part of the full lab Hamiltonian
+and the real pieces it is summed from. All functions here are pure;
+nothing mutates its inputs.
 """
 
 from __future__ import annotations

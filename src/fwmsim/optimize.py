@@ -17,6 +17,9 @@ be misread as gate error.
 Each candidate costs one real ``eigh`` per parity sector that holds a
 computational state (the drive-free H is real, and ``dynamics.sectors``
 splits it into two equal halves when the modes are coupled) and one scan.
+What is the same for every candidate is taken once: the sectors per
+sparsity pattern, and the computational indices and the initial state per
+cutoffs.
 The scan's phases exp(-2 pi i w t) come from a factorized table: each time
 is a block start plus an offset, about sqrt(time_points) of each, and every
 phase is reduced modulo one cycle without error before its cos and sin.
@@ -27,6 +30,7 @@ phases, up to 5.6e4 rad, would be off by up to 2e-14.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -64,6 +68,9 @@ class OptimizationResult:
     fidelity: float
     evaluations: int
     history: tuple              # ((e_j1, e_j2, b0), fidelity, gate_time), successes only
+    rejected_bounds: int        # evaluations outside the search box
+    rejected_gate_time: int     # gate time outside the bounds, or chi_lab = 0
+    rejected_tracking: int      # a computational branch not identifiable
 
 
 def _sector_eigh(h: np.ndarray, states) -> tuple[np.ndarray, np.ndarray]:
@@ -81,20 +88,33 @@ def _sector_eigh(h: np.ndarray, states) -> tuple[np.ndarray, np.ndarray]:
     return w, u
 
 
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split x = hi + lo, each half with at most 26 significant bits."""
+@functools.lru_cache(maxsize=None)
+def _search_states(cutoffs: FockCutoffs) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (computational indices, real initial state) of the search
+    at ``cutoffs``: |a;00>, |a;01>, |a;10>, |a;11> and |a> x |+> x |+>."""
+    comp = computational_indices(cutoffs, "a")
+    psi0 = product_state(cutoffs, "a", [1, 1], [1, 1])
+    for a in (comp, psi0):
+        a.setflags(write=False)
+    return comp, psi0.real
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, hi, lo): Veltkamp's split x = hi + lo, each half with at most 26
+    significant bits."""
     c = 134217729.0 * x  # 2**27 + 1
     hi = c - (c - x)
-    return hi, x - hi
+    return x, hi, x - hi
 
 
-def _cycle_phases(rates: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(-2 pi i outer(rates, times)). Each product is reduced modulo one
-    cycle without error first: p + e = rate * time exactly (Dekker, Numer.
-    Math. 18 (1971) 224), p - rint(p) is exact, so only the reduced phase,
-    at most half a cycle, is rounded before the cos and sin."""
-    p = np.multiply.outer(rates, times)
-    (r_hi, r_lo), (t_hi, t_lo) = _split(rates), _split(times)
+def _cycle_phases(rates: tuple, times: np.ndarray) -> np.ndarray:
+    """exp(-2 pi i outer(rates, times)) for the :func:`_split` ``rates``.
+    Each product is reduced modulo one cycle without error first: p + e =
+    rate * time exactly (Dekker, Numer. Math. 18 (1971) 224), p - rint(p)
+    is exact, so only the reduced phase, at most half a cycle, is rounded
+    before the cos and sin."""
+    (r, r_hi, r_lo), (_, t_hi, t_lo) = rates, _split(times)
+    p = np.multiply.outer(r, times)
     e = ((np.multiply.outer(r_hi, t_hi) - p) + np.multiply.outer(r_hi, t_lo)
          + np.multiply.outer(r_lo, t_hi)) + np.multiply.outer(r_lo, t_lo)
     theta = -2.0 * np.pi * ((p - np.rint(p)) + e)
@@ -104,11 +124,12 @@ def _cycle_phases(rates: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scan(w: np.ndarray, rows: np.ndarray, cols: np.ndarray, ts: np.ndarray) -> np.ndarray:
+def _scan(rates: tuple, rows: np.ndarray, cols: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Fidelities |<target(t)|psi(t)>|^2 at the times ``ts`` of one scan.
 
-    ``rows[r]`` is the computational row r of u, times c0 (psi = u (phases
-    * c0)), and ``w[cols[r]]`` its branch energy, so the overlap is
+    ``rates`` is the :func:`_split` of the energies w. ``rows[r]`` is the
+    computational row r of u, times c0 (psi = u (phases * c0)), and
+    ``w[cols[r]]`` its branch energy, so the overlap is
     sum_r 0.5 sum_j rows[r, j] exp(-2 pi i (w_j - w[cols[r]]) t).
     Each time is a block start s plus an offset o (the first block's offsets)
     plus a gap eps of about an ulp, all exact differences of the ``ts``. The
@@ -116,10 +137,11 @@ def _scan(w: np.ndarray, rows: np.ndarray, cols: np.ndarray, ts: np.ndarray) -> 
     and exp(2 pi i (w[cols[r]] - w_j) eps) is taken to first order: its error,
     (2 pi |w[cols[r]] - w_j| eps)^2 / 2, is below 1e-22 on scans below 128 ns.
     """
+    w = rates[0]
     n = ts.size
     m = math.isqrt(n - 1) + 1               # offsets per block, ceil(sqrt(n))
     offsets = ts[:m] - ts[0]
-    b_phase = _cycle_phases(w, offsets)     # (dim, m)
+    b_phase = _cycle_phases(rates, offsets)  # (dim, m)
     lhs = np.stack([rows, rows * (w[cols][:, None] - w)])  # (2, 4, dim)
     f = np.empty(n)
     chunk = max(1, _SCAN_BLOCK // m) * m
@@ -129,7 +151,7 @@ def _scan(w: np.ndarray, rows: np.ndarray, cols: np.ndarray, ts: np.ndarray) -> 
         grid[:part.size] = part
         grid = grid.reshape(-1, m)
         eps = (grid - grid[:, :1]) - offsets
-        a_phase = _cycle_phases(w, grid[:, 0]).T                 # (blocks, dim)
+        a_phase = _cycle_phases(rates, grid[:, 0]).T             # (blocks, dim)
         # exp(-2 pi i (w_j - w[cols[r]]) s), (4, blocks, dim)
         a_rel = a_phase * np.conj(a_phase[:, cols]).T[:, :, None]
         s = ((lhs[:, :, None, :] * a_rel).reshape(-1, w.size) @ b_phase).reshape(
@@ -152,9 +174,9 @@ def controlled_phase_fidelity(params: CircuitParams, cutoffs: FockCutoffs, *,
     """
     if time_points < 1:
         raise ValueError("time_points must be at least 1")
-    comp = computational_indices(cutoffs, "a")  # (0,0), (0,1), (1,0), (1,1)
+    comp, psi0 = _search_states(cutoffs)
     # the drive-free H is real
-    w, u = _sector_eigh(build_full_hamiltonian(params, (), cutoffs).static.real, comp)
+    w, u = _sector_eigh(build_full_hamiltonian(params, (), cutoffs).static, comp)
     weights = np.abs(u[comp]) ** 2
     cols = np.argmax(weights, axis=1)
     found = weights[range(4), cols] >= 0.5  # False for a NaN weight too
@@ -170,14 +192,15 @@ def controlled_phase_fidelity(params: CircuitParams, cutoffs: FockCutoffs, *,
     if not (gate_time_bounds[0] <= t_gate <= gate_time_bounds[1]):
         return None
 
-    c0 = u.T @ product_state(cutoffs, "a", [1, 1], [1, 1]).real
+    c0 = u.T @ psi0
     ts = np.linspace((1.0 - TIME_WINDOW) * t_gate,
                      (1.0 + TIME_WINDOW) * t_gate, time_points)
+    rates = _split(w)
     # the target lives on the computational rows only
-    f = _scan(w, u[comp] * c0, cols, ts)
+    f = _scan(rates, u[comp] * c0, cols, ts)
     best = int(np.argmax(f))  # first maximum, like a strict '>' scan
     best_f, best_t = float(f[best]), float(ts[best])
-    psi = u @ (_cycle_phases(w, ts[best:best + 1])[:, 0] * c0)
+    psi = u @ (_cycle_phases(rates, ts[best:best + 1])[:, 0] * c0)
     leak = float(1.0 - np.sum(np.abs(psi[comp]) ** 2))
     return GateEvaluation(fidelity=best_f, gate_time=best_t, chi_lab=float(chi_lab),
                           leakage=max(leak, 0.0))
@@ -225,7 +248,10 @@ def maximize_fidelity(e_mx: float, *, bounds_pct: float = DEFAULT_BOUNDS_PCT,
     Strategy: the reference point first, then deterministic candidates
     re-centered on the two-photon resonance, then seeded-uniform sampling,
     then a Nelder-Mead refinement from the best sample; the total number of
-    objective evaluations never exceeds ``budget``.
+    objective evaluations never exceeds ``budget``. Each evaluation is
+    either accepted (an entry of ``history``) or counted as rejected for
+    one reason: outside the search box, gate time outside the bounds, or
+    branch tracking failed.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -240,6 +266,7 @@ def maximize_fidelity(e_mx: float, *, bounds_pct: float = DEFAULT_BOUNDS_PCT,
     rng = np.random.default_rng(seed)
     history: list = []
     evaluations = 0
+    rejected = {"bounds": 0, "gate_time": 0, "tracking": 0}
 
     def objective(cand) -> float:
         nonlocal evaluations
@@ -248,6 +275,7 @@ def maximize_fidelity(e_mx: float, *, bounds_pct: float = DEFAULT_BOUNDS_PCT,
         for c, name in zip(cand, ("e_j1", "e_j2", "b0")):
             lo, hi = bounds[name]
             if not (lo - 1e-12 <= c <= hi + 1e-12):
+                rejected["bounds"] += 1
                 return 0.0
         p = replace(base, e_j1=cand[0], e_j2=cand[1], b0=cand[2])
         try:
@@ -255,8 +283,10 @@ def maximize_fidelity(e_mx: float, *, bounds_pct: float = DEFAULT_BOUNDS_PCT,
                                            gate_time_bounds=gate_time_bounds,
                                            time_points=time_points)
         except TrackingError:
-            ev = None
+            rejected["tracking"] += 1
+            return 0.0
         if ev is None:
+            rejected["gate_time"] += 1
             return 0.0
         history.append((cand, ev.fidelity, ev.gate_time))
         return ev.fidelity
@@ -285,5 +315,7 @@ def maximize_fidelity(e_mx: float, *, bounds_pct: float = DEFAULT_BOUNDS_PCT,
     best = _best_entry(history)
     return OptimizationResult(
         e_mx=e_mx, best_params=best[0], best_gate_time=best[2],
-        fidelity=best[1], evaluations=evaluations, history=tuple(history))
+        fidelity=best[1], evaluations=evaluations, history=tuple(history),
+        rejected_bounds=rejected["bounds"], rejected_gate_time=rejected["gate_time"],
+        rejected_tracking=rejected["tracking"])
 

@@ -368,15 +368,16 @@ def _frame_matrices(spec: SchemeSpec, det: Detunings, cutoffs: FockCutoffs,
 
 @functools.lru_cache(maxsize=None)
 def _mode_pieces(cutoffs: FockCutoffs) -> tuple[np.ndarray, ...]:
-    """Read-only pieces (I4 x n1, I4 x n2, q1, q2, I4 x q1 q2) with q = a +
-    a^dag: the parameter-free products on the full space, and the mode
-    quadratures on the dim1*dim2 Fock space that the sigma_x couplings
-    multiply. The number operator is a^dag a as a matrix product, like
-    :func:`mode_operator`."""
-    a1, a2 = fock_ladders(cutoffs)
-    q1, q2 = a1 + a1.conj().T, a2 + a2.conj().T
+    """Read-only real pieces (I4 x n1, I4 x n2, q1, q2, I4 x q1 q2) with
+    q = a + a^dag: the parameter-free products on the full space, and the
+    mode quadratures on the dim1*dim2 Fock space that the sigma_x couplings
+    multiply. The number operator is a^T a as a matrix product, like
+    :func:`mode_operator`; every entry of it and of q1 q2 is a single
+    product, so each piece is the real part of its complex form exactly."""
+    a1, a2 = (a.real for a in fock_ladders(cutoffs))
+    q1, q2 = a1 + a1.T, a2 + a2.T
     i4 = np.eye(4)
-    pieces = (level_product(i4, a1.conj().T @ a1), level_product(i4, a2.conj().T @ a2),
+    pieces = (level_product(i4, a1.T @ a1), level_product(i4, a2.T @ a2),
               q1, q2, level_product(i4, q1 @ q2))
     for m in pieces:
         m.setflags(write=False)
@@ -390,7 +391,9 @@ def build_full_hamiltonian(params: CircuitParams,
 
     Keeps every transition matrix element of both sigma_x projections (no
     rotating-wave truncation) and the cross-talk couplings; a zero
-    ``g2_1``/``g2_2``/``g3`` drops its term.
+    ``g2_1``/``g2_2``/``g3`` drops its term. The static part is real: a
+    C-contiguous float64 array, equal to the real part of the complex
+    ``np.kron`` construction bit for bit, whose imaginary part is exactly 0.
     Drives must carry explicit frequencies here; each drive contributes
     2 * rabi * cos(2 pi omega t) on its sigma_x operator, i.e. ``rabi`` is
     the lab amplitude of a unit-coefficient transition.

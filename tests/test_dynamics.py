@@ -397,35 +397,60 @@ def _sparsity_patterns(draw):
     index = st.integers(min_value=0, max_value=dim - 1)
     links = draw(st.lists(st.tuples(index, index), max_size=2 * dim))
     support = sorted(draw(st.sets(index, max_size=dim)))
-    return dim, links, support
+    flip = draw(st.tuples(index, index))
+    return dim, links, support, flip
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(case=_sparsity_patterns())
-@example(case=(3, [(0, 1)], []))                 # an empty support
-@example(case=(5, [(0, 3), (1, 4)], [4, 2, 3]))  # a NaN link joins 0 and 3
-def test_sectors_are_the_touched_components_in_order(case):
-    dim, links, support = case
-    h = np.zeros((dim, dim), dtype=complex)
-    for k, (i, j) in enumerate(links):
-        h[i, j] = h[j, i] = np.nan if k == 0 else 0.5  # the first link is NaN
-    # unsorted, with repeats: the sectors come in the order of their first state
-    states = support[::-1] + support
+def _assert_touched_components(h, states, support):
+    """``dynamics.sectors(h, states)`` against the components that
+    ``scipy.sparse.csgraph`` finds in the nonzero pattern of ``h``."""
     found = dynamics.sectors(h, states)
-    # the pattern is taken as undirected: one triangle of it links both ways
-    upper = dynamics.sectors(np.triu(h), states)
-    assert len(upper) == len(found) and all(map(np.array_equal, upper, found))
     _, labels = connected_components(csr_matrix(h != 0), directed=False)
     first = list(dict.fromkeys(labels[states].tolist()))
     assert [labels[s[0]] for s in found] == first
     for s in found:
+        assert not s.flags.writeable  # shared by every call on the pattern
         assert np.all(np.diff(s) > 0)
         assert np.array_equal(s, np.flatnonzero(labels == labels[s[0]]))
-        inside = np.isin(np.arange(dim), s)
+        inside = np.isin(np.arange(len(h)), s)
         assert not np.any(h[np.ix_(inside, ~inside)])   # closed under h
     union = np.concatenate([np.empty(0, dtype=int), *found])
     assert np.unique(union).size == union.size          # disjoint
     assert np.array_equal(np.sort(union), np.flatnonzero(np.isin(labels, labels[support])))
+    return found
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_sparsity_patterns())
+@example(case=(3, [(0, 1)], [], (0, 2)))                 # an empty support
+@example(case=(5, [(0, 3), (1, 4)], [4, 2, 3], (0, 3)))  # a NaN link joins 0 and 3
+def test_sectors_are_the_touched_components_in_order(case):
+    dim, links, support, (i, j) = case
+    h = np.zeros((dim, dim), dtype=complex)
+    for k, (a, b) in enumerate(links):
+        h[a, b] = h[b, a] = np.nan if k == 0 else 0.5  # the first link is NaN
+    # unsorted, with repeats: the sectors come in the order of their first state
+    states = support[::-1] + support
+    found = _assert_touched_components(h, states, support)
+    # the pattern is taken as undirected: one triangle of it links both ways
+    upper = dynamics.sectors(np.triu(h), states)
+    assert len(upper) == len(found) and all(map(np.array_equal, upper, found))
+    # asked again, the pattern is answered alike; with one entry changed,
+    # by its own components
+    again = _assert_touched_components(h, states, support)
+    assert len(again) == len(found) and all(map(np.array_equal, again, found))
+    h[i, j] = 0.0 if h[i, j] != 0 else 0.5
+    _assert_touched_components(h, states, support)
+
+
+def test_sectors_key_holds_the_dimension():
+    # a 1x1 and a 2x2 pattern with one nonzero entry pack to the same byte
+    one, two = np.ones((1, 1)), np.diag([1.0, 0.0])
+    assert np.packbits(one != 0).tobytes() == np.packbits(two != 0).tobytes()
+    for _ in range(2):
+        assert [s.tolist() for s in dynamics.sectors(one, [0])] == [[0]]
+        assert [s.tolist() for s in dynamics.sectors(two, [1, 0])] == [[1], [0]]
+    assert dynamics._pattern_sectors.cache_info().maxsize == dynamics._PATTERN_MEMO
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 4])

@@ -10,11 +10,13 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from fwmsim import dynamics, optimize
 from fwmsim.dynamics import computational_indices, sectors
 from fwmsim.errors import OptimizationError, TrackingError
 from fwmsim.operators import FockCutoffs, basis_state, product_state
 from fwmsim.optimize import (DEFAULT_TIME_POINTS, TIME_WINDOW, _resonance_seeded, _scan,
-                             _sector_eigh, controlled_phase_fidelity, maximize_fidelity)
+                             _sector_eigh, _split, controlled_phase_fidelity,
+                             maximize_fidelity)
 from fwmsim.presets import cross_kerr_point
 from fwmsim.schemes import build_full_hamiltonian
 
@@ -209,6 +211,10 @@ def test_bounds_pct_narrows_search_region():
     narrow = maximize_fidelity(4.0, budget=30, seed=1, bounds_pct=0.02)
     wide = maximize_fidelity(4.0, budget=30, seed=1)
     assert spread(narrow) <= 0.02 + 1e-12
+    # the refinement steps out of the narrow box, and meets each rejection
+    assert (len(narrow.history), narrow.rejected_bounds, narrow.rejected_gate_time,
+            narrow.rejected_tracking) == (12, 8, 9, 1)
+    assert narrow.evaluations == 30
     assert spread(wide) > 0.02
     assert wide.history == maximize_fidelity(4.0, budget=30, seed=1, bounds_pct=0.1).history
 
@@ -249,7 +255,7 @@ def test_scan_matches_40_digit_reference():
         t_gate = 1.0 / (2.0 * abs(ev.chi_lab))
         ts = np.linspace((1.0 - TIME_WINDOW) * t_gate, (1.0 + TIME_WINDOW) * t_gate,
                          DEFAULT_TIME_POINTS)
-        f = _scan(w, rows, cols, ts)
+        f = _scan(_split(w), rows, cols, ts)
         best = int(np.argmax(f))
         assert (f[best], ts[best]) == (ev.fidelity, ev.gate_time) == (fidelity, gate_time)
         # three times whose block start plus offset misses the linspace time
@@ -308,6 +314,60 @@ def test_search_solves_the_two_parity_sectors_with_todays_blocks(monkeypatch):
     assert controlled_phase_fidelity(p, CUT) is not None
     assert [(a.dtype, a.shape) for a in seen] == [(np.float64, (32, 32))] * 2
     assert [a.tobytes() for a in seen] == [h[np.ix_(m, m)].tobytes() for m in (seed, ~seed)]
+
+
+def _uncached_blocks(params, cut):
+    """The search's ``eigh`` inputs by the uncached rule: the pattern
+    components that hold the computational states, in the order of their
+    first state, each block gathered from the real drive-free H."""
+    h = build_full_hamiltonian(params, (), cut).static
+    _, labels = connected_components(csr_matrix(h != 0), directed=False)
+    held = dict.fromkeys(labels[computational_indices(cut, "a")].tolist())
+    return [h[np.ix_(labels == lab, labels == lab)].tobytes() for lab in held]
+
+
+def test_sector_memo_follows_the_pattern(monkeypatch):
+    # the preset, then a pattern with mode 2 decoupled, then the preset again
+    p = cross_kerr_point()["params"]
+    seen, eigh = [], np.linalg.eigh
+
+    def record(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", record)
+    for params in (p, dataclasses.replace(p, g2=0.0), p):
+        seen.clear()
+        controlled_phase_fidelity(params, CUT, gate_time_bounds=(1e-3, 1e7))
+        want = _uncached_blocks(params, CUT)
+        assert len(want) == (2 if params.g2 else 4)
+        assert [a.tobytes() for a in seen] == want
+
+
+def test_search_work_counts(monkeypatch):
+    # one labelling per sparsity pattern, two real 32x32 eigh inputs per
+    # candidate and one initial state per cutoffs; counted, not timed
+    calls, eigh, make = [], np.linalg.eigh, optimize.product_state
+
+    def record(a, *args, **kwargs):
+        calls.append((a.dtype, a.shape, a.flags.c_contiguous))
+        return eigh(a, *args, **kwargs)
+
+    def count_states(*args, **kwargs):
+        calls.append("product_state")
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", record)
+    monkeypatch.setattr(optimize, "product_state", count_states)
+    optimize._search_states.cache_clear()
+    dynamics._pattern_sectors.cache_clear()
+    res = maximize_fidelity(4.0, budget=300, seed=0)
+    assert calls.count("product_state") == 1
+    assert dynamics._pattern_sectors.cache_info().misses == 1
+    assert [c for c in calls if c != "product_state"] == [(np.float64, (32, 32), True)] * 600
+    # every evaluation is accepted or rejected for one reason
+    assert (res.evaluations, len(res.history)) == (300, 141)
+    assert (res.rejected_bounds, res.rejected_gate_time, res.rejected_tracking) == (0, 159, 0)
 
 
 def _branch_errors(w, u, comp, ref):
