@@ -26,6 +26,10 @@ phase is reduced modulo one cycle without error before its cos and sin.
 Against a 40-digit evaluation of the same eigensystem the scanned
 fidelities are off by at most 6.5e-16; cos and sin of the unreduced
 phases, up to 5.6e4 rad, would be off by up to 2e-14.
+
+The search is numpy only. Its Nelder-Mead refinement, :func:`_nelder_mead`,
+is a port of scipy's unbounded Nelder-Mead that evaluates the same points
+bit for bit, so a search does not pay for importing ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -229,6 +233,87 @@ def _resonance_seeded(base: CircuitParams, bounds: dict, delta_ref: float,
     return seeds[:count]
 
 
+class _CallLimit(Exception):
+    """Raised in place of the objective call past :func:`_nelder_mead`'s ``maxfev``."""
+
+
+def _nelder_mead(func, x0, *, maxfev: int, xatol: float, fatol: float):
+    """Minimize ``func`` from the float64 point ``x0`` by Nelder-Mead (Nelder &
+    Mead, Comput. J. 7 (1965) 308) in at most ``maxfev`` calls; return the
+    final simplex and its values, best first.
+
+    A port of scipy 1.17's ``minimize(method="Nelder-Mead")`` without bounds,
+    adaptive coefficients or a given initial simplex (``_minimize_neldermead``
+    in scipy/optimize/_optimize.py, BSD-3-Clause, Copyright (c) 2001-2002
+    Enthought, Inc., 2003 SciPy Developers). It keeps scipy's numpy
+    expressions in their order, its double sort included, so it passes
+    ``func`` the same points bit for bit; like scipy's call counter it stops
+    at the call past ``maxfev``, also in the middle of a shrink.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _CallLimit
+        calls += 1
+        return func(np.copy(x))
+
+    x0 = np.asarray(x0, dtype=float).flatten()
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _CallLimit:
+        pass
+    for _ in range(2):  # as scipy: a second argsort may reorder ties
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    while calls < maxfev:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = f(xc)
+                    keep = fxc <= fxr
+                else:  # inside contraction
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    fxc = f(xc)
+                    keep = fxc < fsim[-1]
+                if keep:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _CallLimit:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim, fsim
+
+
 def _best_entry(history: list) -> tuple:
     """The highest-fidelity entry; a tie goes to the smallest parameters."""
     return max(history, key=lambda h: (h[1], tuple(-x for x in h[0])))
@@ -303,10 +388,8 @@ def maximize_fidelity(e_mx: float, *, bounds_pct: float = DEFAULT_BOUNDS_PCT,
 
     remaining = budget - evaluations
     if remaining > 3 and history:
-        from scipy.optimize import minimize  # only here, so no other command loads scipy
-        minimize(lambda x: -objective(x), x0=np.array(_best_entry(history)[0]),
-                 method="Nelder-Mead",
-                 options={"maxfev": remaining, "xatol": 1e-5, "fatol": 1e-7})
+        _nelder_mead(lambda x: -objective(x), np.array(_best_entry(history)[0]),
+                     maxfev=remaining, xatol=1e-5, fatol=1e-7)
 
     if not history:
         raise OptimizationError(

@@ -385,8 +385,9 @@ def _scipy_probe(jobs, epilogue=""):
 
 
 def test_derive_run_and_b0_sweep_load_no_scipy(tmp_path):
-    # scipy is a third of a second of start-up; only the fidelity search and
-    # the ideal operations use it, not the commands nor loading the presets
+    # scipy is a third of a second of start-up; only the ideal operations use
+    # it, not the commands (the fidelity searches included) nor loading the
+    # presets
     def job(command, config, flags=(), **sections):
         doc = json.load(open(os.path.join(CONFIG_DIR, config)))
         doc.update(sections)
@@ -403,6 +404,9 @@ def test_derive_run_and_b0_sweep_load_no_scipy(tmp_path):
         simulation={"frame": "lab", "duration_ns": 0.001, "points": 3})
     job("sweep", "cross_kerr.json",
         sweep={"variable": "b0", "start": -1.5, "stop": 1.5, "points": 21})
+    job("optimize", "cross_kerr.json", optimize={"budget": 12})
+    job("sweep", "cross_kerr.json", optimize={"budget": 12},
+        sweep={"variable": "emx", "start": 3.9, "stop": 4.1, "points": 2})
     epilogue = """
 from fwmsim.presets import operating_point
 from fwmsim.schemes import Scheme
@@ -416,9 +420,9 @@ print(json.dumps([points, scipy_modules()]))
     assert points == [s.value for s in Scheme] and after_presets == []
 
 
-def test_search_and_ideal_operation_load_scipy_when_called(tmp_path):
-    # the deferred imports run: expm for an ideal operation, Nelder-Mead for
-    # a search with budget left after the seeded samples
+def test_search_loads_no_scipy_and_ideal_operation_loads_linalg(tmp_path):
+    # a search with budget left after the seeded samples runs its own
+    # Nelder-Mead; an ideal operation runs the deferred import of expm
     cfg = config_document(Scheme.CROSS_KERR)
     cfg["optimize"] = {"budget": 12}
     path = tmp_path / "ck.json"
@@ -427,14 +431,16 @@ def test_search_and_ideal_operation_load_scipy_when_called(tmp_path):
 import numpy as np
 from fwmsim import FockCutoffs, IdealOpSpec, ideal_operation
 u = ideal_operation(IdealOpSpec(kind="beam_splitter", angle=0.3), FockCutoffs(2, 2)).unitary
-print(json.dumps([u.shape, np.allclose(u.conj().T @ u, np.eye(9)), "scipy.linalg" in sys.modules]))
+print(json.dumps([u.shape, np.allclose(u.conj().T @ u, np.eye(9)), scipy_modules()]))
 """
     (after_import, codes, after_search), operated = _scipy_probe(
         [["optimize", "--config", str(path), "--out", str(tmp_path)]], epilogue)
     assert after_import == [] and codes == [0]
-    assert "scipy.optimize" in after_search
+    assert after_search == []
+    # 12 evaluations of which 7 are samples: Nelder-Mead ran
     assert json.load(open(tmp_path / "optimize.json"))["evaluations"] == 12
-    assert operated == [[9, 9], True, True]
+    assert operated[:2] == [[9, 9], True]
+    assert "scipy.linalg" in operated[2] and "scipy.optimize" not in operated[2]
 
 
 def test_derive_output_independent_of_hash_seed(tmp_path):

@@ -7,6 +7,9 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -14,9 +17,9 @@ from fwmsim import dynamics, optimize
 from fwmsim.dynamics import computational_indices, sectors
 from fwmsim.errors import OptimizationError, TrackingError
 from fwmsim.operators import FockCutoffs, basis_state, product_state
-from fwmsim.optimize import (DEFAULT_TIME_POINTS, TIME_WINDOW, _resonance_seeded, _scan,
-                             _sector_eigh, _split, controlled_phase_fidelity,
-                             maximize_fidelity)
+from fwmsim.optimize import (DEFAULT_TIME_POINTS, TIME_WINDOW, _nelder_mead,
+                             _resonance_seeded, _scan, _sector_eigh, _split,
+                             controlled_phase_fidelity, maximize_fidelity)
 from fwmsim.presets import cross_kerr_point
 from fwmsim.schemes import build_full_hamiltonian
 
@@ -425,3 +428,81 @@ def test_million_point_scan_memory_stays_blocked():
     # the fine grid has a point within 4e-6 ns of the coarse grid's best
     assert fine.fidelity >= coarse.fidelity - 1e-12
     assert abs(fine.gate_time - coarse.gate_time) <= 2 * TIME_WINDOW * fine.gate_time / 800
+
+
+# Nelder-Mead against scipy's minimize(method="Nelder-Mead"), the algorithm
+# _nelder_mead ports: the same points, in the same order, to the byte
+
+
+def _scipy_nelder_mead(func, x0, *, maxfev, xatol, fatol):
+    res = minimize(func, x0, method="Nelder-Mead",
+                   options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})
+    return res.final_simplex
+
+
+def _objective(kind, center, scale):
+    """A recording objective: a quadratic bowl (minimum -1 at ``center``), or
+    the bowl with the half space x[1] > center[1] a plateau of +-0.0, like
+    the search's rejected candidates; the zero takes the sign of x[0] - center[0].
+    It overwrites its argument, which must be the minimizer's copy."""
+    points = []
+
+    def func(x):
+        points.append(x.tobytes())
+        x[:], x = np.nan, x.copy()
+        if kind == "plateau" and x[1] > center[1]:
+            return math.copysign(0.0, x[0] - center[0])
+        return float(np.sum(scale * (x - center) ** 2)) - 1.0
+    return func, points
+
+
+def _assert_same_steps(kind, x0, center, scale, maxfev, xatol=1e-5, fatol=1e-7):
+    x0, center, scale = (np.array(v, dtype=float) for v in (x0, center, scale))
+    runs = []
+    for minimizer in (_nelder_mead, _scipy_nelder_mead):
+        func, points = _objective(kind, center, scale)
+        sim, fsim = minimizer(func, x0.copy(), maxfev=maxfev, xatol=xatol, fatol=fatol)
+        runs.append((points, sim.tobytes(), fsim.tobytes()))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) <= maxfev
+    return len(runs[0][0])
+
+
+_coordinate = st.one_of(st.sampled_from([0.0, -0.0]),
+                        st.floats(-10.0, 10.0, allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["quadratic", "plateau"]),
+       x0=st.lists(_coordinate, min_size=3, max_size=3),
+       center=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+       scale=st.lists(st.floats(0.01, 100.0), min_size=3, max_size=3),
+       maxfev=st.integers(1, 80))
+@example(kind="plateau", x0=[0.0, 1.0, -0.0], center=[0.5, 0.0, 0.0],
+         scale=[1.0, 1.0, 1.0], maxfev=80)
+def test_nelder_mead_takes_scipys_steps(kind, x0, center, scale, maxfev):
+    _assert_same_steps(kind, x0, center, scale, maxfev)
+
+
+@pytest.mark.parametrize("kind, converged", [("quadratic", None), ("plateau", 79)])
+def test_nelder_mead_stops_at_every_call_limit_like_scipy(kind, converged):
+    # every cut from 1 to 80 calls; on the plateau every contraction fails,
+    # so calls 7-9, 12-14, ... are shrink steps and a limit of 7, 8, 12, 13,
+    # ... calls stops a shrink in the middle
+    for maxfev in range(1, 81):
+        calls = _assert_same_steps(kind, [4.0, 0.0, 1.0], [1.0, -0.5, 0.3],
+                                   [1.0, 3.0, 0.5], maxfev)
+        assert calls == min(maxfev, converged or maxfev)
+
+
+def test_nelder_mead_converges_before_the_call_limit():
+    calls = _assert_same_steps("quadratic", [1.0, 2.0, 3.0], [0.0, 0.0, 0.0],
+                               [1.0, 1.0, 1.0], maxfev=10_000, xatol=1e-4, fatol=1e-4)
+    assert calls < 10_000
+
+
+@pytest.mark.parametrize("e_mx, seed, budget", [(4.0, 0, 300), (3.85, 3, 40), (4.4, 5, 15)])
+def test_search_with_scipys_nelder_mead_gives_the_same_result(monkeypatch, e_mx, seed, budget):
+    own = maximize_fidelity(e_mx, budget=budget, seed=seed)
+    monkeypatch.setattr(optimize, "_nelder_mead", _scipy_nelder_mead)
+    assert maximize_fidelity(e_mx, budget=budget, seed=seed) == own
