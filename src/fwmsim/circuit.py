@@ -27,6 +27,20 @@ REGIME_RATIO = 10.0    # the factor ">>" stands for in C_sigma_ri >> C_sigma_i >
 SIGMA_X_PAIRS = {1: ("ab", "dc", "db", "ac"), 2: ("ab", "dc", "ac", "db")}
 
 
+def _sigma_x_source() -> np.ndarray:
+    """Per entry of the stacked (sigma_x1, sigma_x2), the index of its
+    coefficient among the 4 + 4 of :attr:`EigenSystem.sigma_x`, or 8 (a zero)."""
+    source = np.full((2, 4, 4), 8)
+    for q, pairs in enumerate(SIGMA_X_PAIRS.values()):
+        for k, (i, j) in enumerate(pairs):
+            source[q, LEVEL_INDEX[i], LEVEL_INDEX[j]] = 4 * q + k
+            source[q, LEVEL_INDEX[j], LEVEL_INDEX[i]] = 4 * q + k
+    return source
+
+
+_SIGMA_X_SOURCE = _sigma_x_source()
+
+
 def _charging_energy_ghz(capacitance_f: float) -> float:
     """e^2 / (2 C) expressed as an ordinary frequency in GHz."""
     return ELEMENTARY_CHARGE**2 / (2.0 * capacitance_f * PLANCK_H * 1e9)
@@ -222,17 +236,11 @@ class EigenSystem:
         symmetric, with entries on the :data:`SIGMA_X_PAIRS` only."""
         dif = self.theta_plus - self.theta_minus
         tot = self.theta_plus + self.theta_minus
-        values = ((math.cos(dif), math.cos(dif), math.sin(dif), -math.sin(dif)),
-                  (-math.sin(tot), math.sin(tot), math.cos(tot), math.cos(tot)))
-        out = []
-        for pairs, coefs in zip(SIGMA_X_PAIRS.values(), values):
-            m = np.zeros((4, 4))
-            for (i, j), coef in zip(pairs, coefs):
-                m[LEVEL_INDEX[i], LEVEL_INDEX[j]] += coef  # += keeps a -0.0 coefficient +0.0
-                m[LEVEL_INDEX[j], LEVEL_INDEX[i]] += coef
-            m.setflags(write=False)
-            out.append(m)
-        return tuple(out)
+        c1, s1, c2, s2 = math.cos(dif), math.sin(dif), math.cos(tot), math.sin(tot)
+        coefs = np.array((c1, c1, s1, -s1, -s2, s2, c2, c2, 0.0))
+        out = coefs[_SIGMA_X_SOURCE] + 0.0  # + 0.0 makes a -0.0 coefficient +0.0
+        out.setflags(write=False)
+        return out[0], out[1]
 
     def coupling(self, qubit: int, upper: str, lower: str) -> float:
         """Coefficient of sigma_{upper,lower} in sigma_x of ``qubit``, in either

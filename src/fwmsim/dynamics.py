@@ -17,8 +17,10 @@ applied to the state as a Taylor series summed to roundoff over
 ceil(bound) pieces, from matrix-vector products alone (Al-Mohy & Higham,
 SIAM J. Sci. Comput. 33 (2011) 488), so every step is unitary to roundoff;
 no step evaluates H(t) or a matrix norm. Scheme frames additionally
-factorize exactly through their static co-rotating frame. Every trajectory
-is traced in one place:
+factorize exactly through their static co-rotating frame. Every phase
+exp(-2 pi i w t), the eigen-phases of a static solve and the frame phase
+alike, comes from :func:`phase_rows`, reduced modulo one cycle before its
+cos and sin. Every trajectory is traced in one place:
 states come in blocks of at most _STATE_BLOCK sample times, one state per
 row; each block's norms are taken, then a diagonal frame phase
 exp(+2 pi i h0 t) is applied if one is given, then the overlaps are taken,
@@ -56,6 +58,8 @@ _TAYLOR_TERMS = 30             # cap on the Taylor terms of one exp(-i G / s) pi
 _ROUNDOFF_SQ = (2.0 ** -53) ** 2  # squared unit roundoff of float64
 _STATE_BLOCK = 128             # sample times per block of states (bounds memory)
 _PATTERN_MEMO = 32             # sparsity patterns whose sectors are kept
+_FIRST_ORDER = 2.0 ** -27      # largest 2 pi |rate * gap| a phase table takes to first order
+_PHASE_CHUNK = 4096            # times per pass of the gap check of phase_rows
 
 
 @dataclass(frozen=True)
@@ -103,31 +107,116 @@ def _trajectory(times, blocks, references, h0_diag, store_states):
     product per row, summed as ``np.vdot(ref, psi)`` sums (a GEMM would not).
     """
     refs = {label: ref.conj()[:, None] for label, ref in (references or {}).items()}
-    phase = None if h0_diag is None else 2j * np.pi * h0_diag
+    turns = h0_diag is not None and np.any(h0_diag)  # a zero h0 rotates nothing
+    phases = phase_rows(split_rates(-h0_diag), times) if turns else None
     overlaps = {label: np.empty(len(times), dtype=complex) for label in refs}
     norms = np.empty(len(times))
     kept = []
-    stop = 0
-    for block in blocks:
-        rows = slice(stop, stop + len(block))
+
+    def trace(block, rows):
+        """Trace one block; return a copy of its last (rotated) state."""
         re, im = block.real[:, None, :], block.imag[:, None, :]
         norms[rows] = np.sqrt((re @ re.transpose(0, 2, 1)
                                + im @ im.transpose(0, 2, 1))[:, 0, 0])
-        if phase is not None:
-            block = np.exp(np.outer(times[rows], phase)) * block
+        if phases is not None:
+            rotated = phases(rows.start, rows.stop)
+            rotated *= block
+            block = rotated
         for label, ref in refs.items():
             overlaps[label][rows] = (block[:, None, :] @ ref)[:, 0, 0]
         if store_states:
             kept.append(block)
-        stop = rows.stop
+        return block[-1].copy()
+
+    stop = 0
+    for block in blocks:
+        final = trace(block, slice(stop, stop + len(block)))
+        stop += len(block)
+        del block  # the next block is made without this one
     drift = float(np.max(np.abs(norms - 1.0)))
     if not drift <= NORM_TOL:  # also a NaN state
         raise IntegrationError(
             f"norm drift {drift:.3e} exceeds {NORM_TOL:g}; "
             f"worst point t = {times[int(np.argmax(np.abs(norms - 1.0)))]:.6g} ns")
     return Trajectory(times=np.asarray(times, dtype=float), overlaps=overlaps,
-                      norms=norms, final_state=block[-1].copy(),
+                      norms=norms, final_state=final,
                       states=np.concatenate(kept) if store_states else None)
+
+
+def split_rates(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, hi, lo): Veltkamp's split x = hi + lo, each half with at most 26
+    significant bits."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return x, hi, x - hi
+
+
+def cycle_phases(rates: tuple, times: np.ndarray) -> np.ndarray:
+    """exp(-2 pi i outer(rates, times)) for the :func:`split_rates` ``rates``.
+    Each product is reduced modulo one cycle without error first: p + e =
+    rate * time exactly (Dekker, Numer. Math. 18 (1971) 224), p - rint(p)
+    is exact, so only the reduced phase, at most half a cycle, is rounded
+    before the cos and sin."""
+    (r, r_hi, r_lo), (_, t_hi, t_lo) = rates, split_rates(times)
+    p = np.multiply.outer(r, times)
+    e = ((np.multiply.outer(r_hi, t_hi) - p) + np.multiply.outer(r_hi, t_lo)
+         + np.multiply.outer(r_lo, t_hi)) + np.multiply.outer(r_lo, t_lo)
+    theta = -2.0 * np.pi * ((p - np.rint(p)) + e)
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
+def phase_rows(rates: tuple, times: np.ndarray):
+    """``rows(lo, hi)``: exp(-2 pi i outer(times[lo:hi], w)) as a new C-contiguous
+    (hi - lo, dim) array, for the :func:`split_rates` ``rates`` of w and
+    non-negative increasing ``times``, each phase reduced modulo one cycle.
+
+    Each time t is a start s, the first time of its run of m =
+    ceil(sqrt(times.size)) consecutive times, plus the offset o of its place
+    in the first run, plus a gap eps = (t - s) - o taken exactly (t - s by
+    Fast2Sum). Where 2 pi |w| |eps| <= _FIRST_ORDER at every time, as on an
+    ``np.linspace`` grid, whose gaps are a few ulps, a row is the
+    :func:`cycle_phases` row of s times the row of o, from a table taken
+    once, times 1 - 2 pi i w eps, the exponential to first order (the term
+    dropped is below 2**-55). On any other grid every phase is reduced on
+    its own. A row depends only on its time and the grid, not on which rows
+    are asked for together.
+    """
+    w = rates[0]
+    n = times.size
+    m = math.isqrt(n - 1) + 1
+    offsets, starts = times[:m] - times[0], times[::m]
+    rate = 2.0 * np.pi * w
+
+    def gaps(lo, hi):
+        t, place = times[lo:hi], np.arange(lo, hi)
+        s = starts[place // m]
+        d = t - s
+        return (d - offsets[place % m]) + ((t - d) - s)
+
+    worst = max(np.max(np.abs(gaps(lo, min(lo + _PHASE_CHUNK, n))))
+                for lo in range(0, n, _PHASE_CHUNK))
+    if not np.max(np.abs(rate), initial=0.0) * worst <= _FIRST_ORDER:
+        return lambda lo, hi: np.ascontiguousarray(cycle_phases(rates, times[lo:hi]).T)
+
+    heads, table = (np.ascontiguousarray(cycle_phases(rates, x).T) for x in (starts, offsets))
+    turn = -1j * rate
+
+    def rows(lo, hi):
+        out = np.empty((hi - lo, w.size), dtype=complex)
+        eps = gaps(lo, hi).astype(complex)  # a complex outer product needs no cast per entry
+        for q in range(lo // m, (hi - 1) // m + 1):  # one pass per run of m times
+            a, b = max(lo, q * m), min(hi, q * m + m)
+            part = out[a - lo:b - lo]
+            np.multiply(heads[q], table[a - q * m:b - q * m], out=part)
+            step = np.multiply.outer(eps[a - lo:b - lo], turn)
+            step *= part       # part * (1 - 2 pi i w eps)
+            part += step
+        return out
+
+    return rows
 
 
 @functools.lru_cache(maxsize=_PATTERN_MEMO)
@@ -172,14 +261,16 @@ def evolve_static(h: np.ndarray, psi0: np.ndarray, times: np.ndarray):
     Yields the states at ``times`` in blocks of at most _STATE_BLOCK rows,
     one state per row, each row the product ``u @ (exp(-2 pi i w t) * c0)``
     of one complex ``eigh`` of ``h`` (a real ``h``, the drive-free lab
-    model, is promoted first).
+    model, is promoted first), with the phases of :func:`phase_rows`.
     """
     w, u = np.linalg.eigh(h.astype(complex, copy=False))
     c0 = u.conj().T @ psi0
-    phase = -2j * np.pi * w
+    phases = phase_rows(split_rates(w), times)
     for k in range(0, times.size, _STATE_BLOCK):
-        t = times[k:k + _STATE_BLOCK]
-        yield (u @ (np.exp(np.outer(t, phase)) * c0)[:, :, None])[:, :, 0]
+        v = phases(k, min(k + _STATE_BLOCK, times.size))
+        v *= c0
+        v = u @ v[:, :, None]  # frees the phases before the states are traced
+        yield v[:, :, 0]
 
 
 def _static_trajectory(h, psi0, times, references, h0_diag, store_states):
@@ -302,13 +393,17 @@ def _magnus_generator(ham: Hamiltonian):
 
 def _magnus_states(ham: Hamiltonian, psi0: np.ndarray, times: np.ndarray,
                    substep: float):
-    """Magnus-4 states at ``times``, as blocks of one row each: every step
-    applies exp(-i G) of :func:`_magnus_generator` by :func:`_expm_action`."""
+    """Magnus-4 states at ``times``, in blocks of at most _STATE_BLOCK rows:
+    every step applies exp(-i G) of :func:`_magnus_generator` by
+    :func:`_expm_action`."""
     generator = _magnus_generator(ham)
     psi = psi0.astype(complex).copy()
     t = float(times[0])
-    yield psi[None, :]
+    kept = [psi]
     for t_next in times[1:]:
+        if len(kept) == _STATE_BLOCK:
+            yield np.array(kept)
+            kept = []
         span = float(t_next) - t
         n_sub = max(1, int(math.ceil(span / substep)))
         dt = span / n_sub
@@ -316,7 +411,8 @@ def _magnus_states(ham: Hamiltonian, psi0: np.ndarray, times: np.ndarray,
             a, pieces, _ = generator(t + k * dt, dt)
             psi = _expm_action(a, pieces, psi)
         t = float(t_next)
-        yield psi[None, :]
+        kept.append(psi)
+    yield np.array(kept)
 
 
 def propagate(ham: Hamiltonian, psi0: np.ndarray, t_end: float, *,

@@ -22,7 +22,8 @@ sparsity pattern, and the computational indices and the initial state per
 cutoffs.
 The scan's phases exp(-2 pi i w t) come from a factorized table: each time
 is a block start plus an offset, about sqrt(time_points) of each, and every
-phase is reduced modulo one cycle without error before its cos and sin.
+phase is reduced modulo one cycle without error before its cos and sin
+(``dynamics.cycle_phases``, the phase rule of every static trajectory too).
 Against a 40-digit evaluation of the same eigensystem the scanned
 fidelities are off by at most 6.5e-16; cos and sin of the unreduced
 phases, up to 5.6e4 rad, would be off by up to 2e-14.
@@ -41,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import CircuitParams
-from .dynamics import computational_indices, sectors
+from .dynamics import computational_indices, cycle_phases, sectors, split_rates
 from .errors import OptimizationError, TrackingError
 from .operators import FockCutoffs, product_state
 from .presets import operating_point
@@ -103,35 +104,10 @@ def _search_states(cutoffs: FockCutoffs) -> tuple[np.ndarray, np.ndarray]:
     return comp, psi0.real
 
 
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, hi, lo): Veltkamp's split x = hi + lo, each half with at most 26
-    significant bits."""
-    c = 134217729.0 * x  # 2**27 + 1
-    hi = c - (c - x)
-    return x, hi, x - hi
-
-
-def _cycle_phases(rates: tuple, times: np.ndarray) -> np.ndarray:
-    """exp(-2 pi i outer(rates, times)) for the :func:`_split` ``rates``.
-    Each product is reduced modulo one cycle without error first: p + e =
-    rate * time exactly (Dekker, Numer. Math. 18 (1971) 224), p - rint(p)
-    is exact, so only the reduced phase, at most half a cycle, is rounded
-    before the cos and sin."""
-    (r, r_hi, r_lo), (_, t_hi, t_lo) = rates, _split(times)
-    p = np.multiply.outer(r, times)
-    e = ((np.multiply.outer(r_hi, t_hi) - p) + np.multiply.outer(r_hi, t_lo)
-         + np.multiply.outer(r_lo, t_hi)) + np.multiply.outer(r_lo, t_lo)
-    theta = -2.0 * np.pi * ((p - np.rint(p)) + e)
-    out = np.empty(theta.shape, dtype=complex)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
-    return out
-
-
 def _scan(rates: tuple, rows: np.ndarray, cols: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Fidelities |<target(t)|psi(t)>|^2 at the times ``ts`` of one scan.
 
-    ``rates`` is the :func:`_split` of the energies w. ``rows[r]`` is the
+    ``rates`` is the :func:`split_rates` of the energies w. ``rows[r]`` is the
     computational row r of u, times c0 (psi = u (phases * c0)), and
     ``w[cols[r]]`` its branch energy, so the overlap is
     sum_r 0.5 sum_j rows[r, j] exp(-2 pi i (w_j - w[cols[r]]) t).
@@ -145,7 +121,7 @@ def _scan(rates: tuple, rows: np.ndarray, cols: np.ndarray, ts: np.ndarray) -> n
     n = ts.size
     m = math.isqrt(n - 1) + 1               # offsets per block, ceil(sqrt(n))
     offsets = ts[:m] - ts[0]
-    b_phase = _cycle_phases(rates, offsets)  # (dim, m)
+    b_phase = cycle_phases(rates, offsets)   # (dim, m)
     lhs = np.stack([rows, rows * (w[cols][:, None] - w)])  # (2, 4, dim)
     f = np.empty(n)
     chunk = max(1, _SCAN_BLOCK // m) * m
@@ -155,7 +131,7 @@ def _scan(rates: tuple, rows: np.ndarray, cols: np.ndarray, ts: np.ndarray) -> n
         grid[:part.size] = part
         grid = grid.reshape(-1, m)
         eps = (grid - grid[:, :1]) - offsets
-        a_phase = _cycle_phases(rates, grid[:, 0]).T             # (blocks, dim)
+        a_phase = cycle_phases(rates, grid[:, 0]).T              # (blocks, dim)
         # exp(-2 pi i (w_j - w[cols[r]]) s), (4, blocks, dim)
         a_rel = a_phase * np.conj(a_phase[:, cols]).T[:, :, None]
         s = ((lhs[:, :, None, :] * a_rel).reshape(-1, w.size) @ b_phase).reshape(
@@ -199,12 +175,12 @@ def controlled_phase_fidelity(params: CircuitParams, cutoffs: FockCutoffs, *,
     c0 = u.T @ psi0
     ts = np.linspace((1.0 - TIME_WINDOW) * t_gate,
                      (1.0 + TIME_WINDOW) * t_gate, time_points)
-    rates = _split(w)
+    rates = split_rates(w)
     # the target lives on the computational rows only
     f = _scan(rates, u[comp] * c0, cols, ts)
     best = int(np.argmax(f))  # first maximum, like a strict '>' scan
     best_f, best_t = float(f[best]), float(ts[best])
-    psi = u @ (_cycle_phases(rates, ts[best:best + 1])[:, 0] * c0)
+    psi = u @ (cycle_phases(rates, ts[best:best + 1])[:, 0] * c0)
     leak = float(1.0 - np.sum(np.abs(psi[comp]) ** 2))
     return GateEvaluation(fidelity=best_f, gate_time=best_t, chi_lab=float(chi_lab),
                           leakage=max(leak, 0.0))

@@ -1,13 +1,19 @@
 """Analytic eigensystem against brute-force diagonalization, capacitance
 closed forms, the sigma_x projections, and the b0 energy sweep."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.constants import e as Q_E, h as PLANCK
 
-from fwmsim.circuit import (ELEMENTARY_CHARGE, PLANCK_H, CapacitanceSet, CircuitParams,
-                            EigenSystem, derive_couplings, eigensystem, energy_sweep)
+from fwmsim.circuit import (ELEMENTARY_CHARGE, PLANCK_H, SIGMA_X_PAIRS, CapacitanceSet,
+                            CircuitParams, EigenSystem, derive_couplings, eigensystem,
+                            energy_sweep)
 from fwmsim.errors import DegeneracyError
+from fwmsim.operators import LEVEL_INDEX
+from fwmsim.presets import operating_point
+from fwmsim.schemes import Scheme
 
 # ---------------------------------------------------------------------------
 # brute-force oracle, built independently of the package internals:
@@ -155,6 +161,39 @@ def test_sigma_x_read_only_cached_and_pair_symmetric():
         for i, j in ("ad", "bc"):
             assert es.coupling(q, i, j) == 0.0
             assert type(es.coupling(q, i, j)) is float
+
+
+def _loop_sigma_x(es):
+    """(sigma_x1, sigma_x2) entry by entry: += on zeros, once per pair and mirror."""
+    dif = es.theta_plus - es.theta_minus
+    tot = es.theta_plus + es.theta_minus
+    values = ((math.cos(dif), math.cos(dif), math.sin(dif), -math.sin(dif)),
+              (-math.sin(tot), math.sin(tot), math.cos(tot), math.cos(tot)))
+    out = []
+    for pairs, coefs in zip(SIGMA_X_PAIRS.values(), values):
+        m = np.zeros((4, 4))
+        for (i, j), coef in zip(pairs, coefs):
+            m[LEVEL_INDEX[i], LEVEL_INDEX[j]] += coef
+            m[LEVEL_INDEX[j], LEVEL_INDEX[i]] += coef
+        out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("where", ["preset", "signed-zero"])
+def test_sigma_x_bytes_equal_loop_construction(where):
+    if where == "preset":
+        params = [operating_point(s)["params"] for s in Scheme]
+    else:
+        # e_mx = 0 and e_j1 < e_j2: theta_plus = theta_minus = pi/2, so the
+        # coefficient -sin(theta_plus - theta_minus) is -0.0
+        params = [_params(8.45, 13.95, 0.0, 0.3)]
+        es = eigensystem(params[0])
+        assert math.copysign(1.0, -math.sin(es.theta_plus - es.theta_minus)) == -1.0
+    for p in params:
+        es = eigensystem(p)
+        for got, want in zip(es.sigma_x, _loop_sigma_x(es)):
+            assert got.shape == (4, 4) and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

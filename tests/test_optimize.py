@@ -14,11 +14,11 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from fwmsim import dynamics, optimize
-from fwmsim.dynamics import computational_indices, sectors
+from fwmsim.dynamics import computational_indices, sectors, split_rates
 from fwmsim.errors import OptimizationError, TrackingError
 from fwmsim.operators import FockCutoffs, basis_state, product_state
 from fwmsim.optimize import (DEFAULT_TIME_POINTS, TIME_WINDOW, _nelder_mead,
-                             _resonance_seeded, _scan, _sector_eigh, _split,
+                             _resonance_seeded, _scan, _sector_eigh,
                              controlled_phase_fidelity, maximize_fidelity)
 from fwmsim.presets import cross_kerr_point
 from fwmsim.schemes import build_full_hamiltonian
@@ -258,7 +258,7 @@ def test_scan_matches_40_digit_reference():
         t_gate = 1.0 / (2.0 * abs(ev.chi_lab))
         ts = np.linspace((1.0 - TIME_WINDOW) * t_gate, (1.0 + TIME_WINDOW) * t_gate,
                          DEFAULT_TIME_POINTS)
-        f = _scan(_split(w), rows, cols, ts)
+        f = _scan(split_rates(w), rows, cols, ts)
         best = int(np.argmax(f))
         assert (f[best], ts[best]) == (ev.fidelity, ev.gate_time) == (fidelity, gate_time)
         # three times whose block start plus offset misses the linspace time

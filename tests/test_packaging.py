@@ -90,3 +90,31 @@ class A:
     assert _scipy_imports(ast.parse(source)) == [
         (None, "scipy"), (None, "scipy.linalg"), (None, "scipy"),
         (None, "scipy.sparse"), ("f", "scipy.special")]
+
+
+def _unreduced_phases(text):
+    """Line numbers of ``text`` that take ``np.exp(np.outer(``, spaces ignored."""
+    return [n for n, line in enumerate(text.splitlines(), 1)
+            if "np.exp(np.outer(" in line.replace(" ", "")]
+
+
+def test_no_unreduced_phase_in_the_package():
+    # every phase exp(-2 pi i w t) is reduced modulo one cycle first
+    # (dynamics.cycle_phases and the tables of dynamics.phase_rows); cos and
+    # sin of the unreduced argument, up to about 4e4 rad in a lab run, are
+    # off by up to 1e-12
+    found = {}
+    for folder, _, names in os.walk(PACKAGE_DIR):
+        for name in names:
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path) as fh:
+                    lines = _unreduced_phases(fh.read())
+                if lines:
+                    found[os.path.relpath(path, PACKAGE_DIR)] = lines
+    assert found == {}
+
+
+def test_unreduced_phase_scan_sees_every_spacing():
+    source = "a = np.exp(np.outer(t, w))\nb = np.exp( np.outer (t, w))\nc = np.exp(w * t)\n"
+    assert _unreduced_phases(source) == [1, 2]
